@@ -57,7 +57,6 @@ from .hamiltonians import (
 from .paulis import (
     BlockSpec,
     PauliString,
-    anticommuting_positions,
     commutes,
     k_commutes,
     parse_pauli,

@@ -13,16 +13,15 @@ from __future__ import annotations
 
 import math
 import statistics
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-import numpy as np
-
 from .clifford import circuit_depth, diagonalize_group, per_block_circuits
 from .grouping import Grouping, random_insertion, sorted_insertion
 from .hamiltonians import Hamiltonian
-from .paulis import BlockSpec, PauliString, restrict
+from .paulis import BlockSpec, PauliString, block_commutes_all, restrict
 
 __all__ = [
     "SweepRow",
@@ -253,16 +252,17 @@ def enumerate_block_commuting(p: PauliString, blocks: BlockSpec) -> int:
     if n > 8:
         raise ValueError(f"enumeration supports n <= 8, got {n}")
     blocks.require_n(n)
-    xs = np.arange(1 << n, dtype=np.uint32)
-    anti = (xs[:, None] & np.uint32(p.z_bits)) ^ (xs[None, :] & np.uint32(p.x_bits))
-    ok = np.ones(anti.shape, dtype=bool)
-    for mask in blocks.masks:
-        ok &= (np.bitwise_count(anti & np.uint32(mask)) & 1) == 0
-    return int(ok.sum())
-
-
-def _bits_commute(x1: int, z1: int, x2: int, z2: int) -> bool:
-    return ((x1 & z2) ^ (z1 & x2)).bit_count() % 2 == 0
+    # The anticommuting positions of q = (x, z) with p are a ^ b, where
+    # a = x & p.z and b = z & p.x. Count the strings per (a, b) and test
+    # each distinct pair once, on the representative string (a, b).
+    a_counts = Counter(x & p.z_bits for x in range(1 << n))
+    b_counts = Counter(z & p.x_bits for z in range(1 << n))
+    return sum(
+        ca * cb
+        for a, ca in a_counts.items()
+        for b, cb in b_counts.items()
+        if block_commutes_all(a, b, ((p.x_bits, p.z_bits),), blocks.masks)
+    )
 
 
 def max_set_size_check(n: int, blocks: BlockSpec) -> int:
@@ -278,13 +278,14 @@ def max_set_size_check(n: int, blocks: BlockSpec) -> int:
         raise ValueError(f"exhaustive check supports n <= 4, got {n}")
     blocks.require_n(n)
 
+    whole = (-1,)  # one block over every bit: plain commutation
     per_block: list[list[tuple[int, int]]] = []
     for start, stop in blocks.spans:
         width = stop - start
         chosen: list[tuple[int, int]] = []
         for x in range(1 << width):
             for z in range(1 << width):
-                if all(_bits_commute(x, z, cx, cz) for cx, cz in chosen):
+                if block_commutes_all(x, z, chosen, whole):
                     chosen.append((x, z))
         per_block.append(chosen)
 
@@ -297,15 +298,10 @@ def max_set_size_check(n: int, blocks: BlockSpec) -> int:
         ]
     member_set = set(members)
 
-    def blockwise(x1, z1, x2, z2) -> bool:
-        return all(
-            _bits_commute(x1 & m, z1 & m, x2 & m, z2 & m) for m in blocks.masks
-        )
-
     for i in range(len(members)):
+        if not block_commutes_all(*members[i], members[i + 1 :], blocks.masks):
+            raise RuntimeError("product set is not pairwise block-commuting")
         for j in range(i + 1, len(members)):
-            if not blockwise(*members[i], *members[j]):
-                raise RuntimeError("product set is not pairwise block-commuting")
             prod = (members[i][0] ^ members[j][0], members[i][1] ^ members[j][1])
             if prod not in member_set:
                 raise RuntimeError("product set is not closed under multiplication")
@@ -313,7 +309,7 @@ def max_set_size_check(n: int, blocks: BlockSpec) -> int:
         for z in range(1 << n):
             if (x, z) in member_set:
                 continue
-            if all(blockwise(x, z, mx, mz) for mx, mz in members):
+            if block_commutes_all(x, z, members, blocks.masks):
                 raise RuntimeError("found an outside string extending the set")
     return len(members)
 

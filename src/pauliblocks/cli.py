@@ -77,7 +77,7 @@ def _parse_sizes(text: str) -> list[int]:
 
 def _rows_to_text(dicts: list[dict], fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(dicts, indent=2) + "\n"
+        return json.dumps(dicts, indent=2, allow_nan=False) + "\n"
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=list(dicts[0].keys()))
     writer.writeheader()
@@ -121,7 +121,8 @@ def _group_from_args(args, h):
 def _cmd_group(args) -> int:
     h = load_hamiltonian(args.input)
     _, grouping = _group_from_args(args, h)
-    _write(json.dumps(grouping.to_json_dict(), indent=2) + "\n", args.out)
+    text = json.dumps(grouping.to_json_dict(), indent=2, allow_nan=False)
+    _write(text + "\n", args.out)
     return 0
 
 

@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .paulis import BlockSpec, PauliString, k_commutes
+from .paulis import BlockSpec, PauliString, block_commutes_all, first_noncommuting_pair
 
 __all__ = [
     "Gate",
@@ -177,19 +177,16 @@ class Tableau:
     def is_symplectic(self) -> bool:
         """Check directly that the 2n x 2n binary action preserves the
         symplectic form on all generator pairs."""
-
-        def sip(a: tuple[int, int], b: tuple[int, int]) -> int:
-            return ((a[0] & b[1]) ^ (a[1] & b[0])).bit_count() & 1
-
-        n = self.n_qubits
-        for i in range(n):
-            for j in range(n):
-                if sip(self.x_images[i], self.x_images[j]) != 0:
-                    return False
-                if sip(self.z_images[i], self.z_images[j]) != 0:
-                    return False
-                if sip(self.x_images[i], self.z_images[j]) != (1 if i == j else 0):
-                    return False
+        whole = (-1,)  # one block over every bit: plain commutation
+        xs, zs = self.x_images, self.z_images
+        for i in range(self.n_qubits):
+            if not (
+                block_commutes_all(*xs[i], xs[i + 1 :], whole)
+                and block_commutes_all(*zs[i], zs[i + 1 :], whole)
+                and block_commutes_all(*xs[i], zs[:i] + zs[i + 1 :], whole)
+                and not block_commutes_all(*xs[i], (zs[i],), whole)
+            ):
+                return False
         return True
 
 
@@ -286,12 +283,10 @@ def diagonalize_group(
     for p in members:
         if p.n_qubits != n:
             raise ValueError("members act on different qubit counts")
-    for a in range(len(members)):
-        for b in range(a + 1, len(members)):
-            if not k_commutes(members[a], members[b], blocks):
-                raise ValueError(
-                    f"members {a} and {b} do not block-commute under {blocks}"
-                )
+    pair = first_noncommuting_pair(members, blocks)
+    if pair is not None:
+        a, b = pair
+        raise ValueError(f"members {a} and {b} do not block-commute under {blocks}")
 
     gates: list[Gate] = []
     for (start, stop), mask in zip(blocks.spans, blocks.masks):

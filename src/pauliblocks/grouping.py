@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .hamiltonians import Hamiltonian
-from .paulis import BlockSpec, k_commutes
+from .paulis import BlockSpec, block_commutes_all, first_noncommuting_pair
 
 __all__ = [
     "Grouping",
@@ -67,7 +67,12 @@ class Grouping:
 def _r_hat_of_groups(h: Hamiltonian, groups: Sequence[Sequence[int]]) -> float:
     if not groups:
         raise ValueError("empty grouping")
+    # The score is invariant under a common scale. Scaling by the power of
+    # two that brings max|c| into [0.5, 1) is exact, so ordinary inputs score
+    # bit for bit as before, and no sum overflows nor largest square underflows.
     coeffs = h.coefficients()
+    e = math.frexp(max(abs(c) for c in coeffs))[1]
+    coeffs = [math.ldexp(c, -e) for c in coeffs]
     numerator = sum(abs(c) for c in coeffs)
     denominator = 0.0
     for group in groups:
@@ -98,13 +103,10 @@ def check_grouping(h: Hamiltonian, grouping: Grouping) -> None:
     _require_partition(h, grouping.groups)
     paulis = h.paulis()
     for group in grouping.groups:
-        for a in range(len(group)):
-            for b in range(a + 1, len(group)):
-                p, q = paulis[group[a]], paulis[group[b]]
-                if not k_commutes(p, q, grouping.blocks):
-                    raise ValueError(
-                        f"terms {group[a]} and {group[b]} do not block-commute"
-                    )
+        pair = first_noncommuting_pair([paulis[i] for i in group], grouping.blocks)
+        if pair is not None:
+            a, b = pair
+            raise ValueError(f"terms {group[a]} and {group[b]} do not block-commute")
 
 
 def _first_fit(h: Hamiltonian, blocks: BlockSpec, order: Sequence[int]) -> Grouping:
@@ -112,22 +114,12 @@ def _first_fit(h: Hamiltonian, blocks: BlockSpec, order: Sequence[int]) -> Group
     xs = [t.pauli.x_bits for t in h.terms]
     zs = [t.pauli.z_bits for t in h.terms]
     groups: list[list[int]] = []
-    # cached (x, z) of each group's members; the test stays pairwise
+    # cached (x, z) of each group's members, one kernel call per group
     group_bits: list[list[tuple[int, int]]] = []
     for i in order:
         x, z = xs[i], zs[i]
         for group, bits in zip(groups, group_bits):
-            compatible = True
-            for mx, mz in bits:
-                anti = (x & mz) ^ (z & mx)
-                if anti:
-                    for mask in masks:
-                        if (anti & mask).bit_count() & 1:
-                            compatible = False
-                            break
-                    if not compatible:
-                        break
-            if compatible:
+            if block_commutes_all(x, z, bits, masks):
                 group.append(i)
                 bits.append((x, z))
                 break

@@ -11,14 +11,10 @@ from __future__ import annotations
 
 import math
 import random
-import re
 import warnings
 from dataclasses import dataclass
 
-from .paulis import PauliString, parse_pauli
-
-_DENSE = re.compile(r"[IXYZ]+")
-_SPARSE = re.compile(r"([XYZ])(\d+)")
+from .paulis import PauliString, parse_pauli, pauli_notation
 
 __all__ = [
     "Term",
@@ -216,8 +212,8 @@ def random_hamiltonian(n: int, w: float, seed: int) -> Hamiltonian:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if w <= 0:
-        raise ValueError(f"mean weight w must be positive, got {w}")
+    if not 0 < w < math.inf:
+        raise ValueError(f"mean weight w must be positive and finite, got {w}")
     rng = random.Random(seed)
     seen: set[PauliString] = set()
     terms: list[Term] = []
@@ -297,14 +293,12 @@ def load_hamiltonian(path) -> Hamiltonian:
     if n is None:
         n = 0
         for ln, _, text in entries:
-            tokens = text.split()
-            if all(_DENSE.fullmatch(t) for t in tokens):
-                n = max(n, sum(len(t) for t in tokens))
-            else:
-                for t in tokens:
-                    m = _SPARSE.fullmatch(t)
-                    if m:
-                        n = max(n, int(m.group(2)) + 1)
+            try:
+                notation = pauli_notation(text)
+            except ValueError as exc:
+                raise HamiltonianFileError(f"{path}: line {ln}: {exc}") from None
+            dense = isinstance(notation, str)
+            n = max(n, len(notation) if dense else 1 + max(i for _, i in notation))
         if n == 0:
             raise HamiltonianFileError(f"{path}: could not infer qubit count")
 

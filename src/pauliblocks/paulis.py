@@ -9,13 +9,14 @@ so I=(0,0), X=(1,0), Y=(1,1), Z=(0,1). Qubit 0 is the leftmost character
 in dense text notation and the least significant bit of the bitmaps.
 Two strings commute iff their symplectic inner product
 popcount((x1 & z2) ^ (z1 & x2)) is even; block-wise commutativity applies
-the same test to each block of an ordered qubit partition.
+the same test to each block of an ordered qubit partition, and
+`block_commutes_all` is the one place that test is written.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "PauliString",
@@ -24,7 +25,9 @@ __all__ = [
     "commutes",
     "restrict",
     "k_commutes",
-    "anticommuting_positions",
+    "block_commutes_all",
+    "first_noncommuting_pair",
+    "pauli_notation",
 ]
 
 _DENSE_TOKEN = re.compile(r"[IXYZ]+")
@@ -176,6 +179,26 @@ class BlockSpec:
         return f"BlockSpec({self.sizes})"
 
 
+def pauli_notation(text: str) -> str | list[tuple[str, int]]:
+    """Split Pauli text into its dense string ("XIZY") or its sparse
+    (letter, qubit index) pairs, without checking it against a width.
+
+    Raises:
+        ValueError: empty text, or text that is neither dense nor sparse.
+    """
+    tokens = text.split()
+    if not tokens:
+        raise ValueError("empty Pauli specification")
+    if all(_DENSE_TOKEN.fullmatch(t) for t in tokens):
+        return "".join(tokens)
+    sparse = [_SPARSE_TOKEN.fullmatch(t) for t in tokens]
+    if all(sparse):
+        return [(m.group(1), int(m.group(2))) for m in sparse]
+    raise ValueError(
+        f"cannot parse Pauli {text!r}: expected dense IXYZ text or sparse tokens like 'X0 Z3'"
+    )
+
+
 def parse_pauli(text: str, n_qubits: int) -> PauliString:
     """Parse dense ("XIZY") or sparse ("X0 Z3") Pauli notation.
 
@@ -187,58 +210,61 @@ def parse_pauli(text: str, n_qubits: int) -> PauliString:
         ValueError: invalid character, index >= n_qubits, duplicate sparse
             index, or wrong dense length.
     """
-    tokens = text.split()
-    if not tokens:
-        raise ValueError("empty Pauli specification")
-    if all(_DENSE_TOKEN.fullmatch(t) for t in tokens):
-        dense = "".join(tokens)
-        if len(dense) != n_qubits:
+    notation = pauli_notation(text)
+    if isinstance(notation, str):
+        if len(notation) != n_qubits:
             raise ValueError(
-                f"dense Pauli {dense!r} has {len(dense)} characters, expected {n_qubits}"
+                f"dense Pauli {notation!r} has {len(notation)} characters, expected {n_qubits}"
             )
-        x = z = 0
-        for i, ch in enumerate(dense):
-            if ch == "X":
-                x |= 1 << i
-            elif ch == "Y":
-                x |= 1 << i
-                z |= 1 << i
-            elif ch == "Z":
-                z |= 1 << i
-        return PauliString(n_qubits, x, z)
-    if all(_SPARSE_TOKEN.fullmatch(t) for t in tokens):
-        x = z = 0
-        seen = set()
-        for t in tokens:
-            m = _SPARSE_TOKEN.fullmatch(t)
-            letter, idx = m.group(1), int(m.group(2))
-            if idx >= n_qubits:
-                raise ValueError(f"qubit index {idx} out of range for n={n_qubits}")
-            if idx in seen:
-                raise ValueError(f"duplicate qubit index {idx} in {text!r}")
-            seen.add(idx)
-            if letter != "Z":
-                x |= 1 << idx
-            if letter != "X":
-                z |= 1 << idx
-        return PauliString(n_qubits, x, z)
-    raise ValueError(
-        f"cannot parse Pauli {text!r}: expected dense IXYZ text or sparse tokens like 'X0 Z3'"
-    )
+        notation = [(ch, i) for i, ch in enumerate(notation) if ch != "I"]
+    x = z = 0
+    seen = set()
+    for letter, idx in notation:
+        if idx >= n_qubits:
+            raise ValueError(f"qubit index {idx} out of range for n={n_qubits}")
+        if idx in seen:
+            raise ValueError(f"duplicate qubit index {idx} in {text!r}")
+        seen.add(idx)
+        if letter != "Z":
+            x |= 1 << idx
+        if letter != "X":
+            z |= 1 << idx
+    return PauliString(n_qubits, x, z)
 
 
-def anticommuting_positions(p: PauliString, q: PauliString) -> int:
-    """Bitmap of qubit positions where the single-qubit factors anticommute."""
-    if p.n_qubits != q.n_qubits:
-        raise ValueError(
-            f"qubit count mismatch: {p.n_qubits} vs {q.n_qubits}"
-        )
-    return (p.x_bits & q.z_bits) ^ (p.z_bits & q.x_bits)
+def block_commutes_all(
+    x: int, z: int, members: Iterable[tuple[int, int]], masks: Sequence[int]
+) -> bool:
+    """True iff the string with bitmaps (x, z) block-commutes with every
+    (mx, mz) in `members`, each block given by its qubit bitmask in `masks`.
+
+    The single mask -1 makes the whole string one block: plain commutation.
+    """
+    for mx, mz in members:
+        anti = (x & mz) ^ (z & mx)
+        if anti:
+            for mask in masks:
+                if (anti & mask).bit_count() & 1:
+                    return False
+    return True
+
+
+def first_noncommuting_pair(
+    paulis: Sequence[PauliString], blocks: BlockSpec
+) -> tuple[int, int] | None:
+    """Positions (a, b), a < b, of the first pair in `paulis` that does not
+    block-commute, in lexicographic order, or None if every pair does."""
+    bits = [(p.x_bits, p.z_bits) for p in paulis]
+    for a, (x, z) in enumerate(bits):
+        for b in range(a + 1, len(bits)):
+            if not block_commutes_all(x, z, (bits[b],), blocks.masks):
+                return a, b
+    return None
 
 
 def commutes(p: PauliString, q: PauliString) -> bool:
     """True iff PQ = QP as operators (even symplectic inner product)."""
-    return anticommuting_positions(p, q).bit_count() % 2 == 0
+    return k_commutes(p, q, BlockSpec((p.n_qubits,)))
 
 
 def restrict(p: PauliString, a: int, b: int) -> PauliString:
@@ -251,11 +277,7 @@ def restrict(p: PauliString, a: int, b: int) -> PauliString:
 
 def k_commutes(p: PauliString, q: PauliString, blocks: BlockSpec) -> bool:
     """True iff p and q commute within every block of the partition."""
+    if p.n_qubits != q.n_qubits:
+        raise ValueError(f"qubit count mismatch: {p.n_qubits} vs {q.n_qubits}")
     blocks.require_n(p.n_qubits)
-    anti = anticommuting_positions(p, q)
-    if anti == 0:
-        return True
-    for mask in blocks.masks:
-        if (anti & mask).bit_count() & 1:
-            return False
-    return True
+    return block_commutes_all(p.x_bits, p.z_bits, [(q.x_bits, q.z_bits)], blocks.masks)

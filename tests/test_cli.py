@@ -257,6 +257,33 @@ class TestKstarBoundDiag:
         assert run_cli("diag", str(path), "--k", "2", "--group-index", "9") == 1
 
 
+class TestExtremeInputs:
+    @pytest.mark.parametrize("coeff", ["1e308", "1e-200"])
+    def test_score_is_finite_for_extreme_coefficients(self, tmp_path, capsys, coeff):
+        path = tmp_path / "h.txt"
+        path.write_text(f"qubits: 2\n{coeff} XI\n{coeff} IX\n")
+        assert run_cli("group", str(path), "--k", "1") == 0
+        scores = [json.loads(capsys.readouterr().out)["r_hat"]]
+        assert run_cli("sweep", str(path), "--jobs", "1", "--format", "json") == 0
+        scores += [row["r_hat"] for row in json.loads(capsys.readouterr().out)]
+        assert scores == pytest.approx([2.0, 2.0, 2.0])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "random", "--n", "4", "--w", "inf", "--seed", "0"],
+            ["kstar", "random", "--sizes", "4", "--w", "inf", "--seed", "0",
+             "--seeds", "2", "--jobs", "1"],
+        ],
+        ids=["gen", "kstar"],
+    )
+    def test_non_finite_mean_weight_is_one_error_line(self, capsys, argv):
+        assert run_cli(*argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         result = subprocess.run(
@@ -275,3 +302,17 @@ class TestEntryPoint:
         )
         assert result.returncode == 1
         assert "error:" in result.stderr
+
+    def test_runtime_needs_no_numpy(self):
+        code = (
+            "import runpy, sys\n"
+            "sys.modules['numpy'] = None\n"
+            "import pauliblocks.cli\n"
+            "sys.argv = ['pauliblocks', 'bound', '--n', '4', '--r', '4']\n"
+            "runpy.run_module('pauliblocks', run_name='__main__')\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.startswith("gate_count_bound = ")

@@ -7,6 +7,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pauliblocks import (
     BlockSpec,
@@ -189,6 +191,23 @@ class TestValidityAndScore:
             for k in (1, 3, 9):
                 g = sorted_insertion(h, BlockSpec.uniform(k, 9))
                 assert 1.0 - 1e-12 <= g.r_hat <= h.num_terms + 1e-12
+
+    @settings(deadline=None)
+    @given(
+        st.integers(-1000, 1000),
+        st.lists(st.floats(1e-3, 1e3), min_size=8, max_size=8),
+        st.lists(st.booleans(), min_size=8, max_size=8),
+        st.integers(1, 8),
+    )
+    def test_score_exact_under_power_of_two_scaling(self, e, mags, signs, k):
+        paulis = random_hamiltonian(8, 2.0, seed=3).paulis()
+        coeffs = [-m if neg else m for m, neg in zip(mags, signs)]
+        h = Hamiltonian(8, tuple(Term(c, p) for c, p in zip(coeffs, paulis)))
+        scaled = Hamiltonian(
+            8, tuple(Term(math.ldexp(c, e), p) for c, p in zip(coeffs, paulis))
+        )
+        g = sorted_insertion(h, BlockSpec.uniform(k, 8))
+        assert r_hat(scaled, g) == r_hat(h, g)
 
     def test_singletons_score_one(self):
         h = tfim(4, 1.0, 0.3)

@@ -181,8 +181,9 @@ class TestRandomHamiltonian:
         assert 1.5 <= mean <= 3.0
 
     def test_rejects_bad_w(self):
-        with pytest.raises(ValueError):
-            random_hamiltonian(4, 0.0, seed=0)
+        for w in (0.0, -1.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError):
+                random_hamiltonian(4, w, seed=0)
 
 
 class TestFiles:

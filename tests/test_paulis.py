@@ -17,6 +17,7 @@ from pauliblocks import (
     parse_pauli,
     restrict,
 )
+from pauliblocks.paulis import block_commutes_all, first_noncommuting_pair
 
 
 def all_paulis(n):
@@ -189,6 +190,33 @@ class TestKCommutes:
     def test_mismatched_blocks(self):
         with pytest.raises(ValueError):
             k_commutes(parse_pauli("XX", 2), parse_pauli("ZZ", 2), BlockSpec([3]))
+
+    @settings(deadline=None)
+    @given(st.integers(1, 12), st.data())
+    def test_kernel_and_first_pair_match_letterwise_oracle(self, n, data):
+        def letterwise(p, q, spec):
+            a, b = p.render(), q.render()
+            return all(
+                sum(x != "I" != y != x for x, y in zip(a[s:e], b[s:e])) % 2 == 0
+                for s, e in spec
+            )
+
+        spec = BlockSpec.uniform(data.draw(st.integers(1, n)), n)
+        bits = st.integers(0, (1 << n) - 1)
+        paulis = [
+            PauliString(n, data.draw(bits), data.draw(bits))
+            for _ in range(data.draw(st.integers(1, 6)))
+        ]
+        p, rest = paulis[0], paulis[1:]
+        assert block_commutes_all(
+            p.x_bits, p.z_bits, [(q.x_bits, q.z_bits) for q in rest], spec.masks
+        ) == all(letterwise(p, q, spec) for q in rest)
+        bad = [
+            (a, b)
+            for a, b in itertools.combinations(range(len(paulis)), 2)
+            if not letterwise(paulis[a], paulis[b], spec)
+        ]
+        assert first_noncommuting_pair(paulis, spec) == (bad[0] if bad else None)
 
     @settings(deadline=None)
     @given(st.integers(1, 64), st.data())
