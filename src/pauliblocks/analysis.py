@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import statistics
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -84,6 +83,18 @@ class ScalingRow:
         return out
 
 
+def _map(fn: Callable, items: list, jobs: int) -> list:
+    """[fn(item) for item in items], on `jobs` worker processes when
+    jobs > 1 and there is more than one item. The pool is imported only
+    here: importing it loads multiprocessing, which serial runs need not."""
+    if jobs > 1 and len(items) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
+
+
 def _group_once(
     h: Hamiltonian, blocks: BlockSpec, algorithm: str, seed: int | None
 ) -> Grouping:
@@ -136,11 +147,7 @@ def k_sweep(
         if not 1 <= k <= h.n_qubits:
             raise ValueError(f"block size {k} out of range [1, {h.n_qubits}]")
     tasks = [(h, k, algorithm, seed, with_circuits) for k in ks]
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_sweep_cell, tasks))
-    else:
-        rows = [_sweep_cell(t) for t in tasks]
+    rows = _map(_sweep_cell, tasks, jobs)
     return sorted(rows, key=lambda r: r.k)
 
 
@@ -193,11 +200,7 @@ def k_star_scaling(
     for n in sizes:
         for seed in seed_list if seed_list is not None else [None]:
             cells.append((factory, n, seed, algorithm, rel_tol))
-    if jobs > 1 and len(cells) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_scaling_cell, cells))
-    else:
-        results = [_scaling_cell(c) for c in cells]
+    results = _map(_scaling_cell, cells, jobs)
 
     by_size: dict[int, list[KStarResult]] = {n: [] for n in sizes}
     for n, _, res in results:

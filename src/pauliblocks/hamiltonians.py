@@ -89,12 +89,18 @@ class HamiltonianFileError(ValueError):
 
 
 def _merge_terms(
-    n_qubits: int, raw: list[tuple[float, PauliString]], offset: float = 0.0
+    path, n_qubits: int, raw: list[tuple[int, float, PauliString]]
 ) -> Hamiltonian:
-    """Merge duplicate strings, fold identities into the offset, drop zeros."""
-    order: list[PauliString] = []
+    """Merge duplicate strings, fold identities into the offset, drop zeros.
+
+    `raw` holds (line number, coefficient, string) in file order.
+
+    Raises:
+        HamiltonianFileError: a merge overflows; the message names the line.
+    """
+    offset = 0.0
     acc: dict[PauliString, float] = {}
-    for coeff, pauli in raw:
+    for ln, coeff, pauli in raw:
         if coeff == 0.0:
             warnings.warn(f"dropping zero-coefficient term {pauli}")
             continue
@@ -103,17 +109,22 @@ def _merge_terms(
             offset += coeff
             continue
         if pauli in acc:
+            total = acc[pauli] + coeff
+            if not math.isfinite(total):
+                raise HamiltonianFileError(
+                    f"{path}: line {ln}: merging duplicate term {pauli} "
+                    f"gives a non-finite coefficient {total}"
+                )
             warnings.warn(f"merging duplicate term {pauli}")
-            acc[pauli] += coeff
+            acc[pauli] = total
         else:
             acc[pauli] = coeff
-            order.append(pauli)
     terms = []
-    for pauli in order:
-        if acc[pauli] == 0.0:
+    for pauli, coeff in acc.items():
+        if coeff == 0.0:
             warnings.warn(f"term {pauli} merged to zero and dropped")
             continue
-        terms.append(Term(acc[pauli], pauli))
+        terms.append(Term(coeff, pauli))
     return Hamiltonian(n_qubits, tuple(terms), offset)
 
 
@@ -240,13 +251,14 @@ def load_hamiltonian(path) -> Hamiltonian:
 
     Format: UTF-8 text, '#' lines are comments, the first non-comment line
     may be "qubits: n", and each remaining line is "<coefficient> <pauli>"
-    with the Pauli in dense or sparse notation. Without the header, n is
-    inferred as the largest dense length or sparse index + 1, and every
-    dense line must then have exactly that length.
+    with a finite coefficient and the Pauli in dense or sparse notation.
+    Without the header, n is inferred as the largest dense length or sparse
+    index + 1, and every dense line must then have exactly that length.
 
     Raises:
-        HamiltonianFileError: malformed or inconsistent line (message
-            includes the 1-based line number), or empty file.
+        HamiltonianFileError: malformed or inconsistent line, non-finite
+            coefficient, or a duplicate whose merged coefficient overflows
+            (message includes the 1-based line number), or empty file.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.readlines()
@@ -284,6 +296,10 @@ def load_hamiltonian(path) -> Hamiltonian:
             raise HamiltonianFileError(
                 f"{path}: line {ln}: invalid coefficient {fields[0]!r}"
             ) from None
+        if not math.isfinite(coeff):
+            raise HamiltonianFileError(
+                f"{path}: line {ln}: coefficient must be finite, got {fields[0]!r}"
+            )
         entries.append((ln, coeff, fields[1]))
 
     if not entries:
@@ -302,14 +318,14 @@ def load_hamiltonian(path) -> Hamiltonian:
         if n == 0:
             raise HamiltonianFileError(f"{path}: could not infer qubit count")
 
-    raw: list[tuple[float, PauliString]] = []
+    raw: list[tuple[int, float, PauliString]] = []
     for ln, coeff, text in entries:
         try:
             pauli = parse_pauli(text, n)
         except ValueError as exc:
             raise HamiltonianFileError(f"{path}: line {ln}: {exc}") from None
-        raw.append((coeff, pauli))
-    return _merge_terms(n, raw)
+        raw.append((ln, coeff, pauli))
+    return _merge_terms(path, n, raw)
 
 
 def hamiltonian_to_text(h: Hamiltonian) -> str:

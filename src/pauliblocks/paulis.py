@@ -30,8 +30,13 @@ __all__ = [
     "pauli_notation",
 ]
 
-_DENSE_TOKEN = re.compile(r"[IXYZ]+")
-_SPARSE_TOKEN = re.compile(r"([XYZ])(\d+)")
+# Whole-text forms: `\s` and str.split() agree on what is whitespace, so a
+# match means every whitespace-separated token has the named form.
+_DENSE_TEXT = re.compile(r"[IXYZ\s]+")
+_SPARSE_TEXT = re.compile(r"\s*[XYZ]\d+(?:\s+[XYZ]\d+)*\s*")
+# Dense text to binary digits, qubit 0 first: X or Y sets x, Z or Y sets z.
+_X_DIGITS = str.maketrans("IXYZ", "0110")
+_Z_DIGITS = str.maketrans("IXYZ", "0011")
 
 
 class PauliString:
@@ -42,17 +47,20 @@ class PauliString:
     to share between threads.
     """
 
-    __slots__ = ("n_qubits", "x_bits", "z_bits")
+    __slots__ = ("n_qubits", "x_bits", "z_bits", "_hash")
 
     def __init__(self, n_qubits: int, x_bits: int = 0, z_bits: int = 0):
         if n_qubits < 1:
             raise ValueError(f"n_qubits must be positive, got {n_qubits}")
-        limit = 1 << n_qubits
-        if not (0 <= x_bits < limit and 0 <= z_bits < limit):
+        # bit_length, not a comparison with 1 << n_qubits, so that a wide
+        # string costs no n_qubits-bit integer
+        if x_bits < 0 or z_bits < 0 or (x_bits | z_bits).bit_length() > n_qubits:
             raise ValueError(f"bit vectors out of range for {n_qubits} qubits")
         object.__setattr__(self, "n_qubits", n_qubits)
         object.__setattr__(self, "x_bits", x_bits)
         object.__setattr__(self, "z_bits", z_bits)
+        # computed once: loading a Hamiltonian hashes each string several times
+        object.__setattr__(self, "_hash", hash((n_qubits, x_bits, z_bits)))
 
     def __setattr__(self, name, value):
         raise AttributeError("PauliString is immutable")
@@ -97,7 +105,7 @@ class PauliString:
         )
 
     def __hash__(self) -> int:
-        return hash((self.n_qubits, self.x_bits, self.z_bits))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"PauliString({self.render()!r})"
@@ -189,11 +197,10 @@ def pauli_notation(text: str) -> str | list[tuple[str, int]]:
     tokens = text.split()
     if not tokens:
         raise ValueError("empty Pauli specification")
-    if all(_DENSE_TOKEN.fullmatch(t) for t in tokens):
+    if _DENSE_TEXT.fullmatch(text):
         return "".join(tokens)
-    sparse = [_SPARSE_TOKEN.fullmatch(t) for t in tokens]
-    if all(sparse):
-        return [(m.group(1), int(m.group(2))) for m in sparse]
+    if _SPARSE_TEXT.fullmatch(text):
+        return [(t[0], int(t[1:])) for t in tokens]
     raise ValueError(
         f"cannot parse Pauli {text!r}: expected dense IXYZ text or sparse tokens like 'X0 Z3'"
     )
@@ -216,19 +223,21 @@ def parse_pauli(text: str, n_qubits: int) -> PauliString:
             raise ValueError(
                 f"dense Pauli {notation!r} has {len(notation)} characters, expected {n_qubits}"
             )
-        notation = [(ch, i) for i, ch in enumerate(notation) if ch != "I"]
+        reverse = notation[::-1]  # int() reads the last qubit first
+        x = int(reverse.translate(_X_DIGITS), 2)
+        z = int(reverse.translate(_Z_DIGITS), 2)
+        return PauliString(n_qubits, x, z)
     x = z = 0
-    seen = set()
     for letter, idx in notation:
         if idx >= n_qubits:
             raise ValueError(f"qubit index {idx} out of range for n={n_qubits}")
-        if idx in seen:
+        bit = 1 << idx
+        if (x | z) & bit:
             raise ValueError(f"duplicate qubit index {idx} in {text!r}")
-        seen.add(idx)
         if letter != "Z":
-            x |= 1 << idx
+            x |= bit
         if letter != "X":
-            z |= 1 << idx
+            z |= bit
     return PauliString(n_qubits, x, z)
 
 

@@ -269,6 +269,18 @@ class TestExtremeInputs:
         assert scores == pytest.approx([2.0, 2.0, 2.0])
 
     @pytest.mark.parametrize(
+        "text", ["nan XI\n", "inf XI\n", "1e308 XI\n1e308 XI\n"], ids=["nan", "inf", "merge"]
+    )
+    def test_non_finite_coefficient_names_its_line(self, tmp_path, capsys, text):
+        path = tmp_path / "h.txt"
+        path.write_text("qubits: 2\n" + text)
+        assert run_cli("group", str(path), "--k", "1") == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        last = text.count("\n") + 1
+        assert err.startswith(f"error: {path}: line {last}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["gen", "random", "--n", "4", "--w", "inf", "--seed", "0"],
@@ -308,6 +320,8 @@ class TestEntryPoint:
             "import runpy, sys\n"
             "sys.modules['numpy'] = None\n"
             "import pauliblocks.cli\n"
+            "pool = {'concurrent.futures', 'multiprocessing'} & set(sys.modules)\n"
+            "assert not pool, pool\n"
             "sys.argv = ['pauliblocks', 'bound', '--n', '4', '--r', '4']\n"
             "runpy.run_module('pauliblocks', run_name='__main__')\n"
         )

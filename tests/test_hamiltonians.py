@@ -255,6 +255,29 @@ class TestFiles:
         with pytest.raises(HamiltonianFileError, match="line 2"):
             load_hamiltonian(path)
 
+    @pytest.mark.parametrize(
+        "text,line",
+        [
+            ("1.0 XX\nnan XI\n", 2),
+            ("# top\n-inf XI\n", 2),
+            ("qubits: 2\n1e999 XI\n", 2),
+            ("1e308 XI\n1.0 ZZ\n1e308 XI\n", 3),
+        ],
+        ids=["nan", "inf", "overflow", "merge-overflow"],
+    )
+    def test_non_finite_coefficient_reports_number(self, tmp_path, text, line):
+        path = tmp_path / "h.txt"
+        path.write_text(text)
+        with pytest.raises(HamiltonianFileError, match=f"line {line}: .*finite"):
+            load_hamiltonian(path)
+
+    def test_huge_declared_width_loads(self, tmp_path):
+        path = tmp_path / "h.txt"
+        path.write_text("qubits: 99999999999\n1.0 X0\n")
+        h = load_hamiltonian(path)
+        assert h.n_qubits == 99999999999
+        assert [(t.pauli.x_bits, t.pauli.z_bits) for t in h.terms] == [(1, 0)]
+
     def test_inconsistent_dense_lengths(self, tmp_path):
         path = tmp_path / "h.txt"
         path.write_text("1.0 XX\n1.0 XXX\n")

@@ -55,6 +55,10 @@ class TestParse:
             ("X0 XY", 4),
             ("", 2),
             ("I0", 2),
+            ("XI Z0", 4),
+            ("X0 Z1 Q2", 4),
+            ("X0 X0", 4),
+            ("X0Z1", 4),
         ],
     )
     def test_rejects(self, text, n):
@@ -65,12 +69,24 @@ class TestParse:
         assert parse_pauli("XYZI", 4).render() == "XYZI"
         assert str(parse_pauli("Y1", 3)) == "IYI"
 
-    @given(st.integers(1, 16), st.data())
+    @given(st.integers(1, 200), st.data())
     def test_roundtrip(self, n, data):
         x = data.draw(st.integers(0, (1 << n) - 1))
         z = data.draw(st.integers(0, (1 << n) - 1))
         p = PauliString(n, x, z)
-        assert parse_pauli(p.render(), n) == p
+        dense = p.render()
+        assert parse_pauli(dense, n) == p
+        sparse = " ".join(f"{ch}{i}" for i, ch in enumerate(dense) if ch != "I")
+        if sparse:
+            assert parse_pauli(sparse, n) == p
+
+    def test_wide_string_needs_no_wide_integer(self):
+        p = PauliString(10**12, 1, 2)
+        assert (p.n_qubits, p.x_bits, p.z_bits) == (10**12, 1, 2)
+        with pytest.raises(ValueError, match="out of range"):
+            PauliString(3, 8, 0)
+        with pytest.raises(ValueError, match="out of range"):
+            PauliString(3, 0, -1)
 
     def test_immutable(self):
         p = parse_pauli("XY", 2)
