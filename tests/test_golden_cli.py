@@ -1,0 +1,236 @@
+"""Golden CLI corpus: fixed fingerprints of `pauliblocks` runs.
+
+Each case runs `main()` in-process inside a fresh temporary directory that
+holds the case's input files under relative names, so error messages that
+quote a path do not depend on where the test runs. A case records its exit
+code, the sha256 of stdout, of stderr and of every file it writes with
+`--out`, and the message of every warning raised while it runs (only the
+message: the source line that the real CLI prints with a warning moves
+whenever the code around it does).
+
+A refactor must leave every fingerprint unchanged. Check the corpus without
+pytest, from the root of the checkout:
+
+    python tests/test_golden_cli.py            # exit 1 on any mismatch
+    python tests/test_golden_cli.py --record   # rewrite tests/golden_cli.json
+
+Re-recording is for deliberate output changes only.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+import warnings
+from pathlib import Path
+
+GOLDEN = Path(__file__).with_name("golden_cli.json")
+
+WORKED = "qubits: 2\n4.0 XI\n4.0 IX\n1.0 IZ\n1.0 ZX\n"
+
+# Dense and sparse lines, a comment, a duplicate, an identity line, a zero
+# coefficient and a pair that merges to zero: loading it warns five times.
+# The coefficients are dyadic, so every sum of them or of their squares is
+# exact and the score does not depend on how the Python version sums floats.
+MIXED = """\
+# six qubits, mixed notation
+qubits: 6
+0.5 XXIIZZ
+-1.25 Z0 Z1
+0.75 IYIYII
+2.0 X2 X3
+0.5 XXIIZZ
+9.765625e-4 ZZZZZZ
+0.3 IIIIII
+0.0 X5
+-0.875 Y0 Y5
+1.5 IIXZXZ
+0.625 ZIZIZI
+-0.375 X1 Y2 Z3
+1.0 X4
+-1.0 X4
+0.5625 XIXIXI
+-0.6875 IZIZIZ
+1.125 YYIIII
+0.1875 IIIIYY
+"""
+
+BACON = "qubits: 9\n1.0 XXXXXXIII\n1.0 IIIXXXXXX\n1.0 ZZIZZIZZI\n1.0 IZZIZZIZZ\n"
+
+MALFORMED = "qubits: 2\n1.0 XX\nbroken\n"
+
+
+def _case(*argv, files=None, outs=()):
+    return {"argv": list(argv), "files": files or {}, "outs": list(outs)}
+
+
+_M = {"mixed.txt": MIXED}
+
+CASES = {
+    # gen, one case per family
+    "gen_bacon_shor": _case(
+        "gen", "bacon-shor", "--rows", "2", "--cols", "3", "--ordering", "row-major"
+    ),
+    "gen_tfim_out": _case(
+        "gen", "tfim", "--n", "5", "--j", "0.5", "--g", "-1.5", "--out", "tfim.txt",
+        outs=["tfim.txt"],
+    ),
+    "gen_hardcore_boson": _case("gen", "hardcore-boson", "--n", "4", "--t", "3"),
+    "gen_random": _case("gen", "random", "--n", "8", "--w", "3", "--seed", "4"),
+    # group at k=1, a middle k, k=n, explicit blocks and random insertion
+    "group_worked_k1": _case("group", "h.txt", "--k", "1", files={"h.txt": WORKED}),
+    "group_k1": _case("group", "mixed.txt", "--k", "1", files=_M),
+    "group_k3_out": _case(
+        "group", "mixed.txt", "--k", "3", "--out", "g.json", files=_M, outs=["g.json"]
+    ),
+    "group_kn": _case("group", "mixed.txt", "--k", "6", files=_M),
+    "group_blocks": _case("group", "mixed.txt", "--blocks", "1,2,3", files=_M),
+    "group_random": _case(
+        "group", "mixed.txt", "--k", "2", "--algorithm", "random", "--seed", "5",
+        files=_M,
+    ),
+    # sweep
+    "sweep_csv": _case("sweep", "mixed.txt", "--jobs", "1", files=_M),
+    "sweep_json_out": _case(
+        "sweep", "bacon.txt", "--ks", "1..9", "--format", "json", "--jobs", "1",
+        "--out", "s.json", files={"bacon.txt": BACON}, outs=["s.json"],
+    ),
+    "sweep_circuits": _case(
+        "sweep", "mixed.txt", "--ks", "1,2,3,6", "--with-circuits", "--jobs", "1",
+        files=_M,
+    ),
+    "sweep_random": _case(
+        "sweep", "mixed.txt", "--algorithm", "random", "--seed", "9", "--jobs", "1",
+        files=_M,
+    ),
+    "sweep_jobs2": _case(
+        "sweep", "mixed.txt", "--ks", "1..6", "--with-circuits", "--jobs", "2",
+        files=_M,
+    ),
+    # kstar, one case per family
+    "kstar_bacon_shor": _case("kstar", "bacon-shor", "--sizes", "4,9", "--jobs", "1"),
+    "kstar_tfim": _case(
+        "kstar", "tfim", "--sizes", "3,5,8", "--g", "0.5", "--format", "json",
+        "--jobs", "1",
+    ),
+    "kstar_hardcore_boson": _case(
+        "kstar", "hardcore-boson", "--sizes", "3,6", "--t", "1.5", "--jobs", "1"
+    ),
+    "kstar_random_out": _case(
+        "kstar", "random", "--sizes", "4,6", "--w", "1.5", "--seed", "11",
+        "--seeds", "4", "--jobs", "1", "--out", "k.csv", outs=["k.csv"],
+    ),
+    # bound and diag
+    "bound": _case("bound", "--n", "8", "--r", "4"),
+    "diag_stdout": _case("diag", "mixed.txt", "--k", "3", files=_M),
+    "diag_out": _case(
+        "diag", "mixed.txt", "--blocks", "2,4", "--group-index", "1", "--out", "c.txt",
+        files=_M, outs=["c.txt"],
+    ),
+    "diag_random": _case(
+        "diag", "bacon.txt", "--k", "3", "--algorithm", "random", "--seed", "2",
+        files={"bacon.txt": BACON},
+    ),
+    # error lines
+    "error_group_no_seed": _case(
+        "group", "mixed.txt", "--k", "2", "--algorithm", "random", files=_M
+    ),
+    "error_sweep_no_seed": _case(
+        "sweep", "mixed.txt", "--algorithm", "random", "--jobs", "1", files=_M
+    ),
+    "error_diag_no_seed": _case(
+        "diag", "mixed.txt", "--k", "2", "--algorithm", "random", files=_M
+    ),
+    "error_gen_no_seed": _case("gen", "random", "--n", "4"),
+    "error_kstar_no_seed": _case("kstar", "random", "--sizes", "4", "--jobs", "1"),
+    "error_gen_no_n": _case("gen", "tfim"),
+    "error_gen_no_cols": _case("gen", "bacon-shor", "--rows", "2"),
+    "error_group_no_blocks": _case("group", "mixed.txt", files=_M),
+    "error_malformed_line": _case(
+        "group", "bad.txt", "--k", "1", files={"bad.txt": MALFORMED}
+    ),
+    "error_missing_file": _case("group", "absent.txt", "--k", "1"),
+    "error_group_index": _case(
+        "diag", "mixed.txt", "--k", "3", "--group-index", "99", files=_M
+    ),
+}
+
+
+def _sha(data: str | bytes) -> str:
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_case(case: dict) -> dict:
+    """Run one case in a fresh temporary directory and fingerprint it."""
+    from pauliblocks.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for name, text in case["files"].items():
+                Path(name).write_text(text, encoding="utf-8")
+            with contextlib.ExitStack() as stack:
+                caught = stack.enter_context(warnings.catch_warnings(record=True))
+                warnings.simplefilter("always")
+                stack.enter_context(contextlib.redirect_stdout(out))
+                stack.enter_context(contextlib.redirect_stderr(err))
+                code = main(case["argv"])
+            files = {name: _sha(Path(name).read_bytes()) for name in case["outs"]}
+        finally:
+            os.chdir(cwd)
+    return {
+        "exit": code,
+        "stdout": _sha(out.getvalue()),
+        "stderr": _sha(err.getvalue()),
+        "files": files,
+        "warnings": [f"{w.category.__name__}: {w.message}" for w in caught],
+    }
+
+
+def run_corpus() -> dict:
+    return {name: run_case(case) for name, case in CASES.items()}
+
+
+def pytest_generate_tests(metafunc):
+    if "case_name" in metafunc.fixturenames:
+        metafunc.parametrize("case_name", list(CASES))
+
+
+def test_golden_cli(case_name):
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert run_case(CASES[case_name]) == golden[case_name]
+
+
+def test_golden_cli_covers_every_case():
+    assert list(json.loads(GOLDEN.read_text(encoding="utf-8"))) == list(CASES)
+
+
+def _check() -> int:
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    actual = run_corpus()
+    bad = sorted(set(golden) ^ set(actual))
+    bad += [name for name in actual if name in golden and actual[name] != golden[name]]
+    for name in bad:
+        print(f"MISMATCH {name}: expected {golden.get(name)}, got {actual.get(name)}")
+    print(f"{len(actual) - len(bad)}/{len(actual)} golden CLI cases match")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+    if sys.argv[1:] == ["--record"]:
+        GOLDEN.write_text(json.dumps(run_corpus(), indent=2) + "\n", encoding="utf-8")
+        print(f"recorded {len(CASES)} cases in {GOLDEN}")
+    elif sys.argv[1:]:
+        sys.exit("usage: python tests/test_golden_cli.py [--record]")
+    else:
+        sys.exit(_check())
