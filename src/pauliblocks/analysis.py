@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .clifford import circuit_depth, diagonalize_group, per_block_circuits
-from .grouping import Grouping, random_insertion, sorted_insertion
+from .grouping import _insertion
 from .hamiltonians import Hamiltonian
 from .paulis import BlockSpec, PauliString, block_commutes_all, restrict
 
@@ -95,22 +95,10 @@ def _map(fn: Callable, items: list, jobs: int) -> list:
     return [fn(item) for item in items]
 
 
-def _group_once(
-    h: Hamiltonian, blocks: BlockSpec, algorithm: str, seed: int | None
-) -> Grouping:
-    if algorithm == "sorted":
-        return sorted_insertion(h, blocks)
-    if algorithm == "random":
-        if seed is None:
-            raise ValueError("random insertion requires a seed")
-        return random_insertion(h, blocks, seed)
-    raise ValueError(f"unknown algorithm {algorithm!r}")
-
-
 def _sweep_cell(args) -> SweepRow:
     h, k, algorithm, seed, with_circuits = args
     blocks = BlockSpec.uniform(k, h.n_qubits)
-    grouping = _group_once(h, blocks, algorithm, seed)
+    grouping = _insertion(h, blocks, algorithm, seed)
     gates = depth = None
     if with_circuits:
         gates = depth = 0
@@ -167,9 +155,9 @@ def find_k_star(rows: Sequence[SweepRow], rel_tol: float = 1e-9) -> KStarResult:
 
 
 def _scaling_cell(args):
-    factory, n, seed, algorithm, rel_tol = args
+    factory, n, seed, rel_tol = args
     h = factory(n) if seed is None else factory(n, seed)
-    rows = k_sweep(h, range(1, n + 1), algorithm=algorithm, seed=seed)
+    rows = k_sweep(h, range(1, n + 1))
     res = find_k_star(rows, rel_tol)
     return n, seed, res
 
@@ -179,11 +167,11 @@ def k_star_scaling(
     sizes: Iterable[int],
     *,
     seeds: Iterable[int] | None = None,
-    algorithm: str = "sorted",
     rel_tol: float = 1e-9,
     jobs: int = 1,
 ) -> list[ScalingRow]:
-    """Threshold block size per Hamiltonian size.
+    """Threshold block size per Hamiltonian size, each instance swept over
+    k = 1..n with sorted insertion.
 
     For a deterministic family, `factory(n)` builds the instance and each
     row carries exact thresholds. For a randomized family pass `seeds`;
@@ -199,7 +187,7 @@ def k_star_scaling(
     cells = []
     for n in sizes:
         for seed in seed_list if seed_list is not None else [None]:
-            cells.append((factory, n, seed, algorithm, rel_tol))
+            cells.append((factory, n, seed, rel_tol))
     results = _map(_scaling_cell, cells, jobs)
 
     by_size: dict[int, list[KStarResult]] = {n: [] for n in sizes}

@@ -26,7 +26,7 @@ from .clifford import (
     is_diagonal,
     per_block_circuits,
 )
-from .grouping import random_insertion, sorted_insertion
+from .grouping import _insertion
 from .hamiltonians import (
     bacon_shor,
     hamiltonian_to_text,
@@ -57,7 +57,7 @@ def _blocks_from_args(args, n: int) -> BlockSpec:
         raise ValueError("give exactly one of --k or --blocks")
     if args.k is not None:
         return BlockSpec.uniform(args.k, n)
-    spec = BlockSpec([int(s) for s in args.blocks.split(",")])
+    spec = BlockSpec(_parse_sizes(args.blocks))
     spec.require_n(n)
     return spec
 
@@ -68,14 +68,15 @@ def _parse_ks(text: str | None, n: int) -> list[int]:
     if ".." in text:
         lo, hi = text.split("..", 1)
         return list(range(int(lo), int(hi) + 1))
-    return [int(s) for s in text.split(",")]
+    return _parse_sizes(text)
 
 
 def _parse_sizes(text: str) -> list[int]:
     return [int(s) for s in text.split(",")]
 
 
-def _rows_to_text(dicts: list[dict], fmt: str) -> str:
+def _rows_to_text(rows: list, fmt: str) -> str:
+    dicts = [r.to_json_dict() for r in rows]
     if fmt == "json":
         return json.dumps(dicts, indent=2, allow_nan=False) + "\n"
     buf = io.StringIO()
@@ -85,37 +86,57 @@ def _rows_to_text(dicts: list[dict], fmt: str) -> str:
     return buf.getvalue()
 
 
-def _make_family(args):
+# family factories are picklable (module-level functions, or partials of
+# them) so kstar worker processes can unpickle them
+def _square_bacon_shor(n: int):
+    side = math.isqrt(n)
+    if side * side != n:
+        raise ValueError(f"bacon-shor sizes must be perfect squares, got {n}")
+    return bacon_shor(side, side)
+
+
+def _random_factory(n: int, seed: int, w: float):
+    return random_hamiltonian(n, w, seed)
+
+
+def _family_factory(args):
+    """factory(n) building one instance of the family, or factory(n, seed)
+    for the random family."""
     if args.family == "bacon-shor":
-        if args.rows is None or args.cols is None:
-            raise ValueError("bacon-shor needs --rows and --cols")
-        ordering = args.ordering.replace("-", "_")
-        return bacon_shor(args.rows, args.cols, ordering)
-    if args.n is None:
-        raise ValueError(f"{args.family} needs --n")
+        return _square_bacon_shor
     if args.family == "tfim":
-        return tfim(args.n, args.j, args.g)
+        return functools.partial(tfim, j=args.j, g=args.g)
     if args.family == "hardcore-boson":
-        return hardcore_boson_1d(args.n, args.t, args.g)
+        return functools.partial(hardcore_boson_1d, t=args.t, g=args.g)
     if args.seed is None:
         raise ValueError("random family needs --seed")
-    return random_hamiltonian(args.n, args.w, args.seed)
+    return functools.partial(_random_factory, w=args.w)
 
 
 def _cmd_gen(args) -> int:
-    h = _make_family(args)
+    if args.family == "bacon-shor":
+        if args.rows is None or args.cols is None:
+            raise ValueError("bacon-shor needs --rows and --cols")
+        h = bacon_shor(args.rows, args.cols, args.ordering.replace("-", "_"))
+    elif args.n is None:
+        raise ValueError(f"{args.family} needs --n")
+    else:
+        factory = _family_factory(args)
+        h = factory(args.n, args.seed) if args.family == "random" else factory(args.n)
     _write(hamiltonian_to_text(h), args.out)
     _status(f"generated {args.family}: n_qubits={h.n_qubits} terms={h.num_terms}")
     return 0
 
 
+def _require_seed(args) -> None:
+    if args.algorithm == "random" and args.seed is None:
+        raise ValueError("random insertion requires --seed")
+
+
 def _group_from_args(args, h):
     blocks = _blocks_from_args(args, h.n_qubits)
-    if args.algorithm == "random":
-        if args.seed is None:
-            raise ValueError("random insertion requires --seed")
-        return blocks, random_insertion(h, blocks, args.seed)
-    return blocks, sorted_insertion(h, blocks)
+    _require_seed(args)
+    return blocks, _insertion(h, blocks, args.algorithm, args.seed)
 
 
 def _cmd_group(args) -> int:
@@ -129,8 +150,7 @@ def _cmd_group(args) -> int:
 def _cmd_sweep(args) -> int:
     h = load_hamiltonian(args.input)
     ks = _parse_ks(args.ks, h.n_qubits)
-    if args.algorithm == "random" and args.seed is None:
-        raise ValueError("random insertion requires --seed")
+    _require_seed(args)
     rows = k_sweep(
         h,
         ks,
@@ -139,50 +159,20 @@ def _cmd_sweep(args) -> int:
         with_circuits=args.with_circuits,
         jobs=args.jobs,
     )
-    _write(_rows_to_text([r.to_json_dict() for r in rows], args.format), args.out)
+    _write(_rows_to_text(rows, args.format), args.out)
     return 0
-
-
-# kstar factories live at module level (with bound parameters via partial)
-# so worker processes can unpickle them
-def _square_bacon_shor(n: int):
-    side = math.isqrt(n)
-    if side * side != n:
-        raise ValueError(f"bacon-shor sizes must be perfect squares, got {n}")
-    return bacon_shor(side, side)
-
-
-def _tfim_factory(n: int, j: float, g: float):
-    return tfim(n, j, g)
-
-
-def _hardcore_factory(n: int, t: float, g: float):
-    return hardcore_boson_1d(n, t, g)
-
-
-def _random_factory(n: int, seed: int, w: float):
-    return random_hamiltonian(n, w, seed)
 
 
 def _cmd_kstar(args) -> int:
     sizes = _parse_sizes(args.sizes)
+    factory = _family_factory(args)
     seeds = None
-    if args.family == "bacon-shor":
-        factory = _square_bacon_shor
-    elif args.family == "tfim":
-        factory = functools.partial(_tfim_factory, j=args.j, g=args.g)
-    elif args.family == "hardcore-boson":
-        factory = functools.partial(_hardcore_factory, t=args.t, g=args.g)
-    else:
-        if args.seed is None:
-            raise ValueError("random family needs --seed")
+    if args.family == "random":
         seeds = range(args.seed, args.seed + args.seeds)
-        factory = functools.partial(_random_factory, w=args.w)
-
     rows = k_star_scaling(
         factory, sizes, seeds=seeds, rel_tol=args.rel_tol, jobs=args.jobs
     )
-    _write(_rows_to_text([r.to_json_dict() for r in rows], args.format), args.out)
+    _write(_rows_to_text(rows, args.format), args.out)
     return 0
 
 
@@ -233,8 +223,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("gen", help="generate a model Hamiltonian term-list file")
-    gen.add_argument("family", choices=FAMILIES)
+    # options shared by several subcommands, each declared once
+    options = functools.partial(argparse.ArgumentParser, add_help=False)
+
+    terms = options()
+    terms.add_argument("input", help="term-list file")
+    blocks = options()
+    blocks.add_argument("--k", type=int, help="uniform block size")
+    blocks.add_argument("--blocks", help="comma-separated block sizes, e.g. 2,2,1")
+    insertion = options()
+    insertion.add_argument("--algorithm", choices=("sorted", "random"), default="sorted")
+    insertion.add_argument("--seed", type=int, help="seed for random insertion")
+    family = options()
+    family.add_argument("family", choices=FAMILIES)
+    family.add_argument("--j", type=float, default=1.0, help="ZZ coupling (tfim)")
+    family.add_argument("--g", type=float, default=1.0, help="field / site energy")
+    family.add_argument("--t", type=float, default=2.0, help="hopping (hardcore-boson)")
+    family.add_argument("--w", type=float, default=2.0, help="mean term weight (random)")
+    table = options()
+    table.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    table.add_argument("--format", choices=("csv", "json"), default="csv")
+    out = options()
+    out.add_argument("--out", help="output path (default stdout)")
+
+    gen = sub.add_parser(
+        "gen", parents=[family, out], help="generate a model Hamiltonian term-list file"
+    )
     gen.add_argument("--rows", type=int, help="lattice rows (bacon-shor)")
     gen.add_argument("--cols", type=int, help="lattice columns (bacon-shor)")
     gen.add_argument(
@@ -244,53 +258,40 @@ def build_parser() -> argparse.ArgumentParser:
         help="qubit layout for bacon-shor",
     )
     gen.add_argument("--n", type=int, help="qubit count (tfim, hardcore-boson, random)")
-    gen.add_argument("--j", type=float, default=1.0, help="ZZ coupling (tfim)")
-    gen.add_argument("--g", type=float, default=1.0, help="field / site energy")
-    gen.add_argument("--t", type=float, default=2.0, help="hopping (hardcore-boson)")
-    gen.add_argument("--w", type=float, default=2.0, help="mean term weight (random)")
     gen.add_argument("--seed", type=int, help="seed (random family)")
-    gen.add_argument("--out", help="output path (default stdout)")
     gen.set_defaults(func=_cmd_gen)
 
-    group = sub.add_parser("group", help="group terms into block-commuting sets")
-    group.add_argument("input", help="term-list file")
-    group.add_argument("--k", type=int, help="uniform block size")
-    group.add_argument("--blocks", help="comma-separated block sizes, e.g. 2,2,1")
-    group.add_argument("--algorithm", choices=("sorted", "random"), default="sorted")
-    group.add_argument("--seed", type=int, help="seed for random insertion")
-    group.add_argument("--out", help="output path (default stdout)")
+    group = sub.add_parser(
+        "group",
+        parents=[terms, blocks, insertion, out],
+        help="group terms into block-commuting sets",
+    )
     group.set_defaults(func=_cmd_group)
 
-    sweep = sub.add_parser("sweep", help="group at every block size and tabulate")
-    sweep.add_argument("input", help="term-list file")
+    sweep = sub.add_parser(
+        "sweep",
+        parents=[terms, insertion, table, out],
+        help="group at every block size and tabulate",
+    )
     sweep.add_argument("--ks", help="block sizes: 'LO..HI' or comma list (default 1..n)")
-    sweep.add_argument("--algorithm", choices=("sorted", "random"), default="sorted")
-    sweep.add_argument("--seed", type=int)
     sweep.add_argument(
         "--with-circuits",
         action="store_true",
         help="also report the largest per-block diagonalization circuit per row",
     )
-    sweep.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
-    sweep.add_argument("--format", choices=("csv", "json"), default="csv")
-    sweep.add_argument("--out", help="output path (default stdout)")
     sweep.set_defaults(func=_cmd_sweep)
 
-    kstar = sub.add_parser("kstar", help="threshold block size across model sizes")
-    kstar.add_argument("family", choices=FAMILIES)
+    kstar = sub.add_parser(
+        "kstar",
+        parents=[family, table, out],
+        help="threshold block size across model sizes",
+    )
     kstar.add_argument("--sizes", required=True, help="comma-separated qubit counts")
-    kstar.add_argument("--j", type=float, default=1.0)
-    kstar.add_argument("--g", type=float, default=1.0)
-    kstar.add_argument("--t", type=float, default=2.0)
-    kstar.add_argument("--w", type=float, default=2.0)
     kstar.add_argument("--seed", type=int, help="base seed (random family)")
     kstar.add_argument(
         "--seeds", type=int, default=50, help="instances per size (random family)"
     )
     kstar.add_argument("--rel-tol", type=float, default=1e-9)
-    kstar.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
-    kstar.add_argument("--format", choices=("csv", "json"), default="csv")
-    kstar.add_argument("--out", help="output path (default stdout)")
     kstar.set_defaults(func=_cmd_kstar)
 
     bound = sub.add_parser(
@@ -301,15 +302,11 @@ def build_parser() -> argparse.ArgumentParser:
     bound.set_defaults(func=_cmd_bound)
 
     diag = sub.add_parser(
-        "diag", help="synthesize and verify a diagonalization circuit for one group"
+        "diag",
+        parents=[terms, blocks, insertion, out],
+        help="synthesize and verify a diagonalization circuit for one group",
     )
-    diag.add_argument("input", help="term-list file")
-    diag.add_argument("--k", type=int, help="uniform block size")
-    diag.add_argument("--blocks", help="comma-separated block sizes")
     diag.add_argument("--group-index", type=int, default=0)
-    diag.add_argument("--algorithm", choices=("sorted", "random"), default="sorted")
-    diag.add_argument("--seed", type=int)
-    diag.add_argument("--out", help="output path (default stdout)")
     diag.set_defaults(func=_cmd_diag)
 
     return parser
@@ -321,6 +318,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:  # its message is empty
+        print("error: out of memory", file=sys.stderr)
         return 1
 
 

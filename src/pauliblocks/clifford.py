@@ -78,6 +78,8 @@ class CliffordCircuit:
 
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))
+        if self.n_qubits < 1:
+            raise ValueError(f"n_qubits must be positive, got {self.n_qubits}")
         for g in self.gates:
             if max(g.qubits) >= self.n_qubits:
                 raise ValueError(f"gate {g} out of range for {self.n_qubits} qubits")
@@ -105,15 +107,20 @@ def _apply_gate(gate: Gate, x: int, z: int) -> tuple[int, int]:
     return x, z
 
 
+def _replay(gates: Iterable[Gate], x: int, z: int) -> tuple[int, int]:
+    """Phaseless image of the string (x, z) under the gates, first gate first."""
+    for gate in gates:
+        x, z = _apply_gate(gate, x, z)
+    return x, z
+
+
 def conjugate(circuit: CliffordCircuit, pauli: PauliString) -> PauliString:
     """Phaseless image of a Pauli string under conjugation by the circuit."""
     if pauli.n_qubits != circuit.n_qubits:
         raise ValueError(
             f"qubit count mismatch: circuit has {circuit.n_qubits}, Pauli has {pauli.n_qubits}"
         )
-    x, z = pauli.x_bits, pauli.z_bits
-    for gate in circuit.gates:
-        x, z = _apply_gate(gate, x, z)
+    x, z = _replay(circuit.gates, pauli.x_bits, pauli.z_bits)
     return PauliString(pauli.n_qubits, x, z)
 
 
@@ -145,18 +152,9 @@ class Tableau:
 
     @classmethod
     def from_circuit(cls, circuit: CliffordCircuit) -> "Tableau":
-        n = circuit.n_qubits
-        x_images = []
-        z_images = []
-        for j in range(n):
-            x, z = 1 << j, 0
-            for gate in circuit.gates:
-                x, z = _apply_gate(gate, x, z)
-            x_images.append((x, z))
-            x, z = 0, 1 << j
-            for gate in circuit.gates:
-                x, z = _apply_gate(gate, x, z)
-            z_images.append((x, z))
+        n, gates = circuit.n_qubits, circuit.gates
+        x_images = [_replay(gates, 1 << j, 0) for j in range(n)]
+        z_images = [_replay(gates, 0, 1 << j) for j in range(n)]
         return cls(n, x_images, z_images)
 
     def apply(self, pauli: PauliString) -> PauliString:
@@ -191,7 +189,8 @@ class Tableau:
 
 
 def _independent_rows(vectors: Iterable[tuple[int, int]], width: int) -> list[list[int]]:
-    """Reduce (x, z) vectors over F2 to an independent generating subset."""
+    """Reduce (x, z) vectors of at most `width` bits over F2 to an
+    independent generating subset."""
     pivots: dict[int, int] = {}  # pivot bit -> combined 2*width-bit vector
     for x, z in vectors:
         v = (x << width) | z
@@ -206,61 +205,58 @@ def _independent_rows(vectors: Iterable[tuple[int, int]], width: int) -> list[li
     return [[v >> width, v & mask] for _, v in sorted(pivots.items(), reverse=True)]
 
 
-def _diagonalize_block(rows: list[list[int]], width: int) -> list[Gate]:
-    """Emit {CNOT, H, S} gates (local indices) sending every row to Z-type.
+def _diagonalize_block(rows: list[list[int]], qubits: range) -> list[Gate]:
+    """Emit {CNOT, H, S} gates on `qubits` sending every row to Z-type.
 
-    `rows` must be independent and pairwise commuting on `width` qubits;
-    they are updated in place to their images. Each pass fixes one row to a
-    single-qubit Z on a fresh pivot, which later gates never touch, so the
-    loop terminates within len(rows) passes. A failure to do so indicates
-    a precondition violation and raises RuntimeError.
+    `rows` must be independent, pairwise commuting and supported on
+    `qubits`; they are updated in place to their images. Each pass fixes one
+    row to a single-qubit Z on a fresh pivot, which later gates never touch,
+    so later gates skip the fixed rows and the loop terminates within
+    len(rows) passes. A failure to do so indicates a precondition violation
+    and raises RuntimeError.
     """
     gates: list[Gate] = []
+    open_rows = list(rows)  # rows not yet fixed, in their original order
+    pivots = 0  # bitmask of the fixed rows' pivot qubits
 
     def emit(gate: Gate) -> None:
         gates.append(gate)
-        for row in rows:
+        for row in open_rows:
             row[0], row[1] = _apply_gate(gate, row[0], row[1])
 
-    fixed: list[tuple[int, int]] = []  # (row index, pivot qubit)
     for _ in range(len(rows)):
         candidate = -1
-        for i in range(len(rows)):
-            if any(i == f for f, _ in fixed):
-                continue
+        for i, row in enumerate(open_rows):
+            if row[0] & pivots:
+                raise RuntimeError("block diagonalization failed: rows do not commute")
             # clear Z entries on already-fixed pivots by row multiplication;
             # products of diagonalized rows stay diagonalized
-            for f, q in fixed:
-                if (rows[i][1] >> q) & 1:
-                    rows[i][1] ^= 1 << q
-                if (rows[i][0] >> q) & 1:
-                    raise RuntimeError(
-                        "block diagonalization failed: rows do not commute"
-                    )
-            if rows[i][0] and candidate < 0:
+            row[1] &= ~pivots
+            if row[0] and candidate < 0:
                 candidate = i
         if candidate < 0:
             break
-        i = candidate
-        x = rows[i][0]
+        row = open_rows[candidate]
+        x = row[0]
         pivot = (x & -x).bit_length() - 1
-        for j in range(width):
+        for j in qubits:
             if j != pivot and (x >> j) & 1:
                 emit(Gate.cnot(pivot, j))
-        if (rows[i][1] >> pivot) & 1:
+        if (row[1] >> pivot) & 1:
             emit(Gate.s(pivot))
-        z_rest = rows[i][1]
-        for j in range(width):
+        z_rest = row[1]
+        for j in qubits:
             if (z_rest >> j) & 1:
                 emit(Gate.h(j))
-        for j in range(width):
+        for j in qubits:
             if (z_rest >> j) & 1:
                 emit(Gate.cnot(pivot, j))
-        if rows[i] != [1 << pivot, 0]:
+        if row != [1 << pivot, 0]:
             raise RuntimeError("block diagonalization failed to isolate a pivot")
         emit(Gate.h(pivot))
-        fixed.append((i, pivot))
-    if any(row[0] for row in rows):
+        del open_rows[candidate]
+        pivots |= 1 << pivot
+    if any(row[0] for row in open_rows):
         raise RuntimeError("block diagonalization left a non-diagonal row")
     return gates
 
@@ -290,14 +286,10 @@ def diagonalize_group(
 
     gates: list[Gate] = []
     for (start, stop), mask in zip(blocks.spans, blocks.masks):
-        width = stop - start
-        restrictions = (
-            ((p.x_bits & mask) >> start, (p.z_bits & mask) >> start) for p in members
-        )
-        rows = _independent_rows(restrictions, width)
-        for gate in _diagonalize_block(rows, width):
-            shifted = tuple(q + start for q in gate.qubits)
-            gates.append(Gate(gate.kind, shifted))
+        # restrictions stay at their global positions, so the gates do too
+        restrictions = ((p.x_bits & mask, p.z_bits & mask) for p in members)
+        rows = _independent_rows(restrictions, stop)
+        gates.extend(_diagonalize_block(rows, range(start, stop)))
     return CliffordCircuit(n, tuple(gates))
 
 

@@ -110,6 +110,9 @@ def check_grouping(h: Hamiltonian, grouping: Grouping) -> None:
 
 
 def _first_fit(h: Hamiltonian, blocks: BlockSpec, order: Sequence[int]) -> Grouping:
+    if h.num_terms == 0:
+        raise ValueError("cannot group an empty Hamiltonian")
+    blocks.require_n(h.n_qubits)
     masks = blocks.masks
     xs = [t.pauli.x_bits for t in h.terms]
     zs = [t.pauli.z_bits for t in h.terms]
@@ -136,9 +139,6 @@ def sorted_insertion(h: Hamiltonian, blocks: BlockSpec) -> Grouping:
     Ties in magnitude are broken by original term index, so the result is
     deterministic.
     """
-    if h.num_terms == 0:
-        raise ValueError("cannot group an empty Hamiltonian")
-    blocks.require_n(h.n_qubits)
     coeffs = h.coefficients()
     order = sorted(range(h.num_terms), key=lambda i: -abs(coeffs[i]))
     return _first_fit(h, blocks, order)
@@ -146,9 +146,19 @@ def sorted_insertion(h: Hamiltonian, blocks: BlockSpec) -> Grouping:
 
 def random_insertion(h: Hamiltonian, blocks: BlockSpec, seed: int) -> Grouping:
     """First-fit grouping over a seeded uniform random term order."""
-    if h.num_terms == 0:
-        raise ValueError("cannot group an empty Hamiltonian")
-    blocks.require_n(h.n_qubits)
     order = list(range(h.num_terms))
     random.Random(seed).shuffle(order)
     return _first_fit(h, blocks, order)
+
+
+def _insertion(
+    h: Hamiltonian, blocks: BlockSpec, algorithm: str, seed: int | None
+) -> Grouping:
+    """Group with the named insertion: "sorted", or "random" with a seed."""
+    if algorithm == "sorted":
+        return sorted_insertion(h, blocks)
+    if algorithm == "random":
+        if seed is None:
+            raise ValueError("random insertion requires a seed")
+        return random_insertion(h, blocks, seed)
+    raise ValueError(f"unknown algorithm {algorithm!r}")

@@ -96,7 +96,8 @@ def _merge_terms(
     `raw` holds (line number, coefficient, string) in file order.
 
     Raises:
-        HamiltonianFileError: a merge overflows; the message names the line.
+        HamiltonianFileError: a merge or the offset overflows; the message
+            names the line.
     """
     offset = 0.0
     acc: dict[PauliString, float] = {}
@@ -107,6 +108,11 @@ def _merge_terms(
         if pauli.is_identity:
             warnings.warn("folding identity term into the constant offset")
             offset += coeff
+            if not math.isfinite(offset):
+                raise HamiltonianFileError(
+                    f"{path}: line {ln}: folding identity term into the offset "
+                    f"gives a non-finite offset {offset}"
+                )
             continue
         if pauli in acc:
             total = acc[pauli] + coeff
@@ -257,8 +263,9 @@ def load_hamiltonian(path) -> Hamiltonian:
 
     Raises:
         HamiltonianFileError: malformed or inconsistent line, non-finite
-            coefficient, or a duplicate whose merged coefficient overflows
-            (message includes the 1-based line number), or empty file.
+            coefficient, a duplicate whose merged coefficient overflows, or
+            identity lines whose offset overflows (message includes the
+            1-based line number), or empty file.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.readlines()

@@ -10,6 +10,11 @@ import sys
 
 import pytest
 
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
 from pauliblocks.cli import main
 
 WORKED_EXAMPLE = "qubits: 2\n4.0 XI\n4.0 IX\n1.0 IZ\n1.0 ZX\n"
@@ -269,7 +274,9 @@ class TestExtremeInputs:
         assert scores == pytest.approx([2.0, 2.0, 2.0])
 
     @pytest.mark.parametrize(
-        "text", ["nan XI\n", "inf XI\n", "1e308 XI\n1e308 XI\n"], ids=["nan", "inf", "merge"]
+        "text",
+        ["nan XI\n", "inf XI\n", "1e308 XI\n1e308 XI\n", "1e308 II\n1e308 II\n"],
+        ids=["nan", "inf", "merge", "offset"],
     )
     def test_non_finite_coefficient_names_its_line(self, tmp_path, capsys, text):
         path = tmp_path / "h.txt"
@@ -294,6 +301,31 @@ class TestExtremeInputs:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.skipif(resource is None, reason="needs resource.setrlimit")
+@pytest.mark.parametrize("k", ["1", "99999999999"])
+def test_out_of_memory_is_one_error_line(tmp_path, k):
+    # BlockSpec asks for about 800 GB at --k 1 and 12.5 GB at --k n; the
+    # address-space limit makes either request fail at once, and this test
+    # must never run without it
+    path = tmp_path / "h.txt"
+    path.write_text("qubits: 99999999999\n1.0 X0\n")
+    limit = 1500 * 2**20
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    result = subprocess.run(
+        [sys.executable, "-m", "pauliblocks", "group", str(path), "--k", k],
+        capture_output=True,
+        text=True,
+        preexec_fn=limit_memory,
+    )
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+    assert result.stderr.strip() != "error:"
 
 
 class TestEntryPoint:

@@ -247,6 +247,11 @@ class TestDepthAndText:
         assert text == "qubits: 6\nH 3\nS 0\nCNOT 2 5\n"
         assert circuit_from_text(text) == circ
 
+    @pytest.mark.parametrize("text", ["qubits: -3\n", "qubits: 0\n"])
+    def test_text_rejects_non_positive_width(self, text):
+        with pytest.raises(ValueError, match="positive"):
+            circuit_from_text(text)
+
     def test_text_requires_header(self):
         with pytest.raises(ValueError):
             circuit_from_text("H 0\n")

@@ -262,8 +262,9 @@ class TestFiles:
             ("# top\n-inf XI\n", 2),
             ("qubits: 2\n1e999 XI\n", 2),
             ("1e308 XI\n1.0 ZZ\n1e308 XI\n", 3),
+            ("1e308 II\n1.0 ZZ\n1e308 II\n", 3),
         ],
-        ids=["nan", "inf", "overflow", "merge-overflow"],
+        ids=["nan", "inf", "overflow", "merge-overflow", "offset-overflow"],
     )
     def test_non_finite_coefficient_reports_number(self, tmp_path, text, line):
         path = tmp_path / "h.txt"
