@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .clifford import circuit_depth, diagonalize_group, per_block_circuits
-from .grouping import _insertion
+from .grouping import _insertion, _terms
 from .hamiltonians import Hamiltonian
 from .paulis import BlockSpec, PauliString, block_commutes_all, restrict
 
@@ -96,15 +96,15 @@ def _map(fn: Callable, items: list, jobs: int) -> list:
 
 
 def _sweep_cell(args) -> SweepRow:
-    h, k, algorithm, seed, with_circuits = args
-    blocks = BlockSpec.uniform(k, h.n_qubits)
-    grouping = _insertion(h, blocks, algorithm, seed)
+    t, k, algorithm, seed, with_circuits = args
+    blocks = BlockSpec.uniform(k, t.n_qubits)
+    grouping = _insertion(t, blocks, algorithm, seed)
     gates = depth = None
     if with_circuits:
         gates = depth = 0
-        paulis = h.paulis()
         for group in grouping.groups:
-            circuit = diagonalize_group([paulis[i] for i in group], blocks)
+            members = [PauliString(t.n_qubits, t.xs[i], t.zs[i]) for i in group]
+            circuit = diagonalize_group(members, blocks)
             for sub in per_block_circuits(circuit, blocks):
                 gates = max(gates, sub.gate_count)
                 depth = max(depth, circuit_depth(sub))
@@ -134,9 +134,9 @@ def k_sweep(
     for k in ks:
         if not 1 <= k <= h.n_qubits:
             raise ValueError(f"block size {k} out of range [1, {h.n_qubits}]")
-    tasks = [(h, k, algorithm, seed, with_circuits) for k in ks]
-    rows = _map(_sweep_cell, tasks, jobs)
-    return sorted(rows, key=lambda r: r.k)
+    t = _terms(h)  # built once, shared by every k
+    tasks = [(t, k, algorithm, seed, with_circuits) for k in ks]
+    return _map(_sweep_cell, tasks, jobs)
 
 
 def find_k_star(rows: Sequence[SweepRow], rel_tol: float = 1e-9) -> KStarResult:
@@ -145,8 +145,8 @@ def find_k_star(rows: Sequence[SweepRow], rel_tol: float = 1e-9) -> KStarResult:
     minimum."""
     if not rows:
         raise ValueError("empty sweep")
-    if rel_tol < 0:
-        raise ValueError("rel_tol must be nonnegative")
+    if not 0 <= rel_tol < 1:  # also rejects NaN
+        raise ValueError(f"rel_tol must be in [0, 1), got {rel_tol}")
     best_r = max(r.r_hat for r in rows)
     fewest = min(r.num_groups for r in rows)
     k_rhat = min(r.k for r in rows if r.r_hat >= (1.0 - rel_tol) * best_r)
@@ -154,12 +154,10 @@ def find_k_star(rows: Sequence[SweepRow], rel_tol: float = 1e-9) -> KStarResult:
     return KStarResult(k_rhat, k_groups)
 
 
-def _scaling_cell(args):
+def _scaling_cell(args) -> KStarResult:
     factory, n, seed, rel_tol = args
     h = factory(n) if seed is None else factory(n, seed)
-    rows = k_sweep(h, range(1, n + 1))
-    res = find_k_star(rows, rel_tol)
-    return n, seed, res
+    return find_k_star(k_sweep(h, range(1, n + 1)), rel_tol)
 
 
 def k_star_scaling(
@@ -176,41 +174,31 @@ def k_star_scaling(
     For a deterministic family, `factory(n)` builds the instance and each
     row carries exact thresholds. For a randomized family pass `seeds`;
     `factory(n, seed)` builds each instance and rows carry the mean and
-    population standard deviation over the seeds.
+    population standard deviation over the seeds. A repeated size gives
+    one row, at its first position.
     """
-    sizes = [int(n) for n in sizes]
+    sizes = list(dict.fromkeys(int(n) for n in sizes))
     if not sizes:
         raise ValueError("no sizes given")
     seed_list = None if seeds is None else [int(s) for s in seeds]
     if seed_list is not None and not seed_list:
         raise ValueError("empty seed list")
-    cells = []
-    for n in sizes:
-        for seed in seed_list if seed_list is not None else [None]:
-            cells.append((factory, n, seed, rel_tol))
+    per_size = [None] if seed_list is None else seed_list
+    cells = [(factory, n, seed, rel_tol) for n in sizes for seed in per_size]
     results = _map(_scaling_cell, cells, jobs)
 
-    by_size: dict[int, list[KStarResult]] = {n: [] for n in sizes}
-    for n, _, res in results:
-        by_size[n].append(res)
     rows = []
-    for n in sizes:
-        found = by_size[n]
+    for i, n in enumerate(sizes):
+        # _map keeps the order of its cells, so each size is one slice
+        found = results[i * len(per_size) : (i + 1) * len(per_size)]
+        rs = [r.k_star_rhat for r in found]
+        gs = [r.k_star_groups for r in found]
         if seed_list is None:
-            rows.append(ScalingRow(n, found[0].k_star_rhat, found[0].k_star_groups))
+            rows.append(ScalingRow(n, rs[0], gs[0]))
         else:
-            rs = [r.k_star_rhat for r in found]
-            gs = [r.k_star_groups for r in found]
-            rows.append(
-                ScalingRow(
-                    n,
-                    statistics.fmean(rs),
-                    statistics.fmean(gs),
-                    statistics.pstdev(rs),
-                    statistics.pstdev(gs),
-                    len(found),
-                )
-            )
+            mean = (statistics.fmean(rs), statistics.fmean(gs))
+            spread = (statistics.pstdev(rs), statistics.pstdev(gs), len(found))
+            rows.append(ScalingRow(n, *mean, *spread))
     return rows
 
 

@@ -26,7 +26,7 @@ from .clifford import (
     is_diagonal,
     per_block_circuits,
 )
-from .grouping import _insertion
+from .grouping import _insertion, _terms
 from .hamiltonians import (
     bacon_shor,
     hamiltonian_to_text,
@@ -136,7 +136,7 @@ def _require_seed(args) -> None:
 def _group_from_args(args, h):
     blocks = _blocks_from_args(args, h.n_qubits)
     _require_seed(args)
-    return blocks, _insertion(h, blocks, args.algorithm, args.seed)
+    return blocks, _insertion(_terms(h), blocks, args.algorithm, args.seed)
 
 
 def _cmd_group(args) -> int:

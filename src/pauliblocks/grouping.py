@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .hamiltonians import Hamiltonian
 from .paulis import BlockSpec, block_commutes_all, first_noncommuting_pair
@@ -51,7 +51,7 @@ class Grouping:
     ) -> "Grouping":
         """Build a grouping from explicit index groups, validating it."""
         frozen = tuple(tuple(g) for g in groups)
-        out = cls(blocks, frozen, _r_hat_of_groups(h, frozen))
+        out = cls(blocks, frozen, _r_hat_of_groups(_terms(h), frozen))
         check_grouping(h, out)
         return out
 
@@ -64,26 +64,53 @@ class Grouping:
         }
 
 
-def _r_hat_of_groups(h: Hamiltonian, groups: Sequence[Sequence[int]]) -> float:
-    if not groups:
-        raise ValueError("empty grouping")
+class _Terms(NamedTuple):
+    """What every grouping of one Hamiltonian reads, whatever its blocks:
+    a sweep builds it once and shares it across k, and across processes."""
+
+    n_qubits: int
+    xs: list[int]  # x bitmap of each term
+    zs: list[int]  # z bitmap of each term
+    order: list[int]  # sorted insertion: decreasing |c|, ties by index
+    scaled: list[float]  # coefficients times a power of two
+    numerator: float  # sum of |scaled|, left to right
+
+
+def _terms(h: Hamiltonian) -> _Terms:
+    coeffs = h.coefficients()
     # The score is invariant under a common scale. Scaling by the power of
     # two that brings max|c| into [0.5, 1) is exact, so ordinary inputs score
     # bit for bit as before, and no sum overflows nor largest square underflows.
-    coeffs = h.coefficients()
-    e = math.frexp(max(abs(c) for c in coeffs))[1]
-    coeffs = [math.ldexp(c, -e) for c in coeffs]
-    numerator = sum(abs(c) for c in coeffs)
+    e = math.frexp(max((abs(c) for c in coeffs), default=0.0))[1]
+    scaled = [math.ldexp(c, -e) for c in coeffs]
+    # Every sum in the score runs left to right with +=: builtin sum() is
+    # compensated from Python 3.12 on and would change the last bits.
+    numerator = 0.0
+    for c in scaled:
+        numerator += abs(c)
+    xs = [t.pauli.x_bits for t in h.terms]
+    zs = [t.pauli.z_bits for t in h.terms]
+    order = sorted(range(h.num_terms), key=lambda i: -abs(coeffs[i]))
+    return _Terms(h.n_qubits, xs, zs, order, scaled, numerator)
+
+
+def _r_hat_of_groups(t: _Terms, groups: Sequence[Sequence[int]]) -> float:
+    if not groups:
+        raise ValueError("empty grouping")
+    scaled = t.scaled
     denominator = 0.0
     for group in groups:
-        denominator += math.sqrt(sum(coeffs[i] * coeffs[i] for i in group))
-    return (numerator / denominator) ** 2
+        squares = 0.0
+        for i in group:
+            squares += scaled[i] * scaled[i]
+        denominator += math.sqrt(squares)
+    return (t.numerator / denominator) ** 2
 
 
 def r_hat(h: Hamiltonian, grouping: Grouping) -> float:
     """Measurement-cost reduction score of a grouping, recomputed from h."""
     _require_partition(h, grouping.groups)
-    return _r_hat_of_groups(h, grouping.groups)
+    return _r_hat_of_groups(_terms(h), grouping.groups)
 
 
 def _require_partition(h: Hamiltonian, groups: Sequence[Sequence[int]]) -> None:
@@ -109,13 +136,12 @@ def check_grouping(h: Hamiltonian, grouping: Grouping) -> None:
             raise ValueError(f"terms {group[a]} and {group[b]} do not block-commute")
 
 
-def _first_fit(h: Hamiltonian, blocks: BlockSpec, order: Sequence[int]) -> Grouping:
-    if h.num_terms == 0:
+def _first_fit(t: _Terms, blocks: BlockSpec, order: Sequence[int]) -> Grouping:
+    if not t.xs:
         raise ValueError("cannot group an empty Hamiltonian")
-    blocks.require_n(h.n_qubits)
+    blocks.require_n(t.n_qubits)
     masks = blocks.masks
-    xs = [t.pauli.x_bits for t in h.terms]
-    zs = [t.pauli.z_bits for t in h.terms]
+    xs, zs = t.xs, t.zs
     groups: list[list[int]] = []
     # cached (x, z) of each group's members, one kernel call per group
     group_bits: list[list[tuple[int, int]]] = []
@@ -130,7 +156,7 @@ def _first_fit(h: Hamiltonian, blocks: BlockSpec, order: Sequence[int]) -> Group
             groups.append([i])
             group_bits.append([(x, z)])
     frozen = tuple(tuple(g) for g in groups)
-    return Grouping(blocks, frozen, _r_hat_of_groups(h, frozen))
+    return Grouping(blocks, frozen, _r_hat_of_groups(t, frozen))
 
 
 def sorted_insertion(h: Hamiltonian, blocks: BlockSpec) -> Grouping:
@@ -139,26 +165,24 @@ def sorted_insertion(h: Hamiltonian, blocks: BlockSpec) -> Grouping:
     Ties in magnitude are broken by original term index, so the result is
     deterministic.
     """
-    coeffs = h.coefficients()
-    order = sorted(range(h.num_terms), key=lambda i: -abs(coeffs[i]))
-    return _first_fit(h, blocks, order)
+    return _insertion(_terms(h), blocks, "sorted", None)
 
 
 def random_insertion(h: Hamiltonian, blocks: BlockSpec, seed: int) -> Grouping:
     """First-fit grouping over a seeded uniform random term order."""
-    order = list(range(h.num_terms))
-    random.Random(seed).shuffle(order)
-    return _first_fit(h, blocks, order)
+    return _insertion(_terms(h), blocks, "random", seed)
 
 
 def _insertion(
-    h: Hamiltonian, blocks: BlockSpec, algorithm: str, seed: int | None
+    t: _Terms, blocks: BlockSpec, algorithm: str, seed: int | None
 ) -> Grouping:
     """Group with the named insertion: "sorted", or "random" with a seed."""
     if algorithm == "sorted":
-        return sorted_insertion(h, blocks)
+        return _first_fit(t, blocks, t.order)
     if algorithm == "random":
         if seed is None:
             raise ValueError("random insertion requires a seed")
-        return random_insertion(h, blocks, seed)
+        order = list(range(len(t.xs)))
+        random.Random(seed).shuffle(order)
+        return _first_fit(t, blocks, order)
     raise ValueError(f"unknown algorithm {algorithm!r}")

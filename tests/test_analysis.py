@@ -32,6 +32,8 @@ from pauliblocks import (
     restrict,
     tfim,
 )
+from pauliblocks import analysis as analysis_module
+from pauliblocks import grouping as grouping_module
 
 
 def compositions(n):
@@ -265,6 +267,29 @@ class TestSweep:
         serial = k_sweep(h, range(1, 11), jobs=1)
         parallel = k_sweep(h, range(1, 11), jobs=4)
         assert serial == parallel
+        # workers rebuild each group's strings from the shared term table
+        serial = k_sweep(h, range(1, 11), with_circuits=True, jobs=1)
+        parallel = k_sweep(h, range(1, 11), with_circuits=True, jobs=2)
+        assert serial == parallel
+
+    def test_term_table_built_once_per_hamiltonian(self, monkeypatch):
+        calls = []  # the width of every term table built
+
+        def counting(h):
+            calls.append(h.n_qubits)
+            return real(h)
+
+        real = grouping_module._terms
+        # both modules: `analysis` holds its own reference to `_terms`
+        monkeypatch.setattr(grouping_module, "_terms", counting)
+        monkeypatch.setattr(analysis_module, "_terms", counting)
+        k_sweep(random_hamiltonian(40, 2.0, seed=1), range(1, 41), jobs=1)
+        assert calls == [40]
+        calls.clear()
+        k_star_scaling(
+            lambda n, seed: random_hamiltonian(n, 2.0, seed), [5], seeds=range(3)
+        )
+        assert calls == [5, 5, 5]
 
     def test_random_algorithm_rows(self):
         h = random_hamiltonian(8, 2.0, seed=0)
@@ -297,8 +322,9 @@ class TestKStar:
     def test_rejects_empty_and_negative_tol(self):
         with pytest.raises(ValueError):
             find_k_star([])
-        with pytest.raises(ValueError):
-            find_k_star([SweepRow(1, 1, 1.0)], rel_tol=-1.0)
+        for bad in (-1.0, math.nan, 1.0):
+            with pytest.raises(ValueError, match="rel_tol"):
+                find_k_star([SweepRow(1, 1, 1.0)], rel_tol=bad)
 
     def test_bacon_shor_4x4_threshold(self):
         rows = k_sweep(bacon_shor(4, 4), range(1, 17))
@@ -341,6 +367,15 @@ class TestScaling:
             assert row.num_seeds == 5
             assert row.k_star_rhat_std is not None
             assert 1 <= row.k_star_rhat <= row.n
+
+    def test_repeated_size_gives_one_row(self):
+        def factory(n, seed):
+            return random_hamiltonian(n, 2.0, seed)
+
+        once = k_star_scaling(factory, [6, 4], seeds=range(3))
+        assert k_star_scaling(factory, [6, 4, 6, 6], seeds=range(3)) == once
+        assert [(r.n, r.num_seeds) for r in once] == [(6, 3), (4, 3)]
+        assert k_star_scaling(tfim, [4, 4]) == k_star_scaling(tfim, [4])
 
     def test_rejects_empty_args(self):
         with pytest.raises(ValueError):

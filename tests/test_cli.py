@@ -231,6 +231,19 @@ class TestKstarBoundDiag:
         assert rows[0]["num_seeds"] == 3
         assert "k_star_rhat_std" in rows[0]
 
+    def test_kstar_repeated_size_is_one_row(self, capsys):
+        argv = ["kstar", "random", "--seed", "1", "--seeds", "3", "--jobs", "1"]
+        assert run_cli(*argv, "--sizes", "6,6") == 0
+        repeated = capsys.readouterr().out
+        assert run_cli(*argv, "--sizes", "6") == 0
+        assert repeated == capsys.readouterr().out
+        assert list(csv.DictReader(io.StringIO(repeated)))[0]["num_seeds"] == "3"
+
+    def test_kstar_rejects_nan_rel_tol(self, capsys):
+        argv = ["kstar", "tfim", "--sizes", "4", "--rel-tol", "nan", "--jobs", "1"]
+        assert run_cli(*argv) == 1
+        assert capsys.readouterr().err == "error: rel_tol must be in [0, 1), got nan\n"
+
     def test_bound_output(self, capsys):
         assert run_cli("bound", "--n", "2", "--r", "2") == 0
         out = capsys.readouterr().out

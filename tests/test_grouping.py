@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 import random
 
 import pytest
@@ -14,6 +16,7 @@ from pauliblocks import (
     BlockSpec,
     Grouping,
     Hamiltonian,
+    PauliString,
     Term,
     bacon_shor,
     check_grouping,
@@ -227,6 +230,26 @@ class TestValidityAndScore:
         g = sorted_insertion(h, BlockSpec.uniform(1, 2))
         assert g.num_groups == 1
         assert g.r_hat == pytest.approx(3.0, abs=1e-12)
+
+    def test_score_sums_left_to_right(self):
+        # 1.0 plus ten 1e-16 terms: a plain left-to-right sum drops every
+        # small term, a compensated one (builtin sum() from Python 3.12 on)
+        # keeps them, so the last bits of the score would depend on the
+        # interpreter
+        n = 4
+        zs = range(1, 12)  # eleven distinct Z strings, all in one group
+        coeffs = [1.0] + [1e-16] * 10
+        terms = (Term(c, PauliString(n, 0, z)) for c, z in zip(coeffs, zs))
+        h = Hamiltonian(n, tuple(terms))
+        g = sorted_insertion(h, BlockSpec.uniform(1, n))
+        assert g.groups == (tuple(range(11)),)
+        scaled = [c / 2.0 for c in coeffs]  # max|c| scaled into [0.5, 1)
+        add = functools.partial(functools.reduce, operator.add)
+        numerator = add([abs(c) for c in scaled], 0.0)
+        denominator = math.sqrt(add([c * c for c in scaled], 0.0))
+        expected = (numerator / denominator) ** 2
+        assert g.r_hat.hex() == expected.hex() == (1.0).hex()
+        assert r_hat(h, g).hex() == expected.hex()
 
     def test_bacon_shor_single_group_at_column_size(self):
         g = sorted_insertion(bacon_shor(4, 4), BlockSpec.uniform(4, 16))
