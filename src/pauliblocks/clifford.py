@@ -129,6 +129,13 @@ def is_diagonal(pauli: PauliString) -> bool:
     return pauli.x_bits == 0
 
 
+def _transpose(columns: Sequence[int], height: int) -> list[int]:
+    """Transpose a bit matrix: bit q of row r is bit r of columns[q]."""
+    # reversed strings put row r at index r; the last column is the top digit
+    digits = [format(c, f"0{height}b")[::-1] for c in reversed(columns)]
+    return [int("".join(row), 2) for row in zip(*digits)]
+
+
 class Tableau:
     """Symplectic action of a circuit on the phaseless Pauli generators.
 
@@ -144,18 +151,43 @@ class Tableau:
         x_images: Sequence[tuple[int, int]],
         z_images: Sequence[tuple[int, int]],
     ):
+        if n_qubits < 1:
+            raise ValueError(f"n_qubits must be positive, got {n_qubits}")
         if len(x_images) != n_qubits or len(z_images) != n_qubits:
             raise ValueError("need one image per basis generator")
         self.n_qubits = n_qubits
         self.x_images = tuple(x_images)
         self.z_images = tuple(z_images)
+        limit = 1 << n_qubits
+        for x, z in self.x_images + self.z_images:
+            if not (0 <= x < limit and 0 <= z < limit):
+                raise ValueError(f"image ({x}, {z}) out of range for {n_qubits} qubits")
 
     @classmethod
     def from_circuit(cls, circuit: CliffordCircuit) -> "Tableau":
-        n, gates = circuit.n_qubits, circuit.gates
-        x_images = [_replay(gates, 1 << j, 0) for j in range(n)]
-        z_images = [_replay(gates, 0, 1 << j) for j in range(n)]
-        return cls(n, x_images, z_images)
+        """Build the tableau column by column, one pass over the gates.
+
+        xs[q] and zs[q] mask the 2n generator rows (X_j is row j, Z_j row
+        n + j) whose image has an x or z bit on qubit q, so each gate costs
+        O(1) big-int operations. This implements the conjugation rules apart
+        from the row-wise replay that synthesis and `conjugate` use.
+        """
+        n = circuit.n_qubits
+        xs = [1 << q for q in range(n)]
+        zs = [1 << (n + q) for q in range(n)]
+        for gate in circuit.gates:
+            if gate.kind == "H":
+                (q,) = gate.qubits
+                xs[q], zs[q] = zs[q], xs[q]
+            elif gate.kind == "S":
+                (q,) = gate.qubits
+                zs[q] ^= xs[q]
+            else:
+                c, t = gate.qubits
+                xs[t] ^= xs[c]
+                zs[c] ^= zs[t]
+        images = list(zip(_transpose(xs, 2 * n), _transpose(zs, 2 * n)))
+        return cls(n, images[:n], images[n:])
 
     def apply(self, pauli: PauliString) -> PauliString:
         if pauli.n_qubits != self.n_qubits:
@@ -341,13 +373,9 @@ def per_block_circuits(
     """
     blocks.require_n(circuit.n_qubits)
     buckets: list[list[Gate]] = [[] for _ in blocks.spans]
+    home = [idx for idx, (start, stop) in enumerate(blocks.spans) for _ in range(start, stop)]
     for gate in circuit.gates:
-        homes = {
-            idx
-            for idx, (start, stop) in enumerate(blocks.spans)
-            for q in gate.qubits
-            if start <= q < stop
-        }
+        homes = {home[q] for q in gate.qubits}
         if len(homes) != 1:
             raise ValueError(f"gate {gate} crosses a block boundary")
         buckets[homes.pop()].append(gate)

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from conftest import circuit_matrix, equal_up_to_sign, pauli_matrix
+from pauliblocks import clifford
 from pauliblocks import (
     BlockSpec,
     CliffordCircuit,
@@ -129,6 +130,60 @@ class TestTableau:
         tab = Tableau(1, [(1, 0)], [(1, 0)])
         assert not tab.is_symplectic()
 
+    def test_rejects_no_qubits(self):
+        with pytest.raises(ValueError, match="positive"):
+            Tableau(0, [], [])
+
+    @pytest.mark.parametrize(
+        "x_images, z_images",
+        [([(-1, 0)], [(0, 1)]), ([(1, 0)], [(0, 2)]), ([(1, -2)], [(0, 1)])],
+    )
+    def test_rejects_image_out_of_range(self, x_images, z_images):
+        with pytest.raises(ValueError, match="out of range"):
+            Tableau(1, x_images, z_images)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_generator_images_match_matrix_conjugation(self, n):
+        for seed in range(6):
+            circ = random_circuit(n, 4 * n * n, seed=10 * n + seed)
+            u = circuit_matrix(circ)
+            tab = Tableau.from_circuit(circ)
+            for j in range(n):
+                for gen, (x, z) in (
+                    (PauliString(n, 1 << j, 0), tab.x_images[j]),
+                    (PauliString(n, 0, 1 << j), tab.z_images[j]),
+                ):
+                    assert equal_up_to_sign(
+                        u @ pauli_matrix(gen) @ u.conj().T,
+                        pauli_matrix(PauliString(n, x, z)),
+                    )
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 21, 40])
+    def test_matches_per_generator_replay(self, n):
+        rng = random.Random(n)
+        for seed in range(3):
+            circ = random_circuit(n, rng.randrange(4 * n * n + 1), seed)
+            tab = Tableau.from_circuit(circ)
+            assert tab.x_images == tuple(
+                clifford._replay(circ.gates, 1 << j, 0) for j in range(n)
+            )
+            assert tab.z_images == tuple(
+                clifford._replay(circ.gates, 0, 1 << j) for j in range(n)
+            )
+
+    def test_built_without_the_row_replay(self, monkeypatch):
+        # the tableau and conjugate() must stay two implementations of the
+        # gate rules, so that diag's two checks are independent
+        circ = random_circuit(5, 60, seed=7)
+        expected = [conjugate(circ, PauliString(5, 1 << j, 0)) for j in range(5)]
+
+        def refuse(*args):
+            raise AssertionError("row-wise replay used")
+
+        monkeypatch.setattr(clifford, "_apply_gate", refuse)
+        tab = Tableau.from_circuit(circ)
+        assert [PauliString(5, *img) for img in tab.x_images] == expected
+
 
 class TestDiagonalizeGroup:
     def test_two_block_example(self):
@@ -240,6 +295,22 @@ class TestDepthAndText:
         circ = CliffordCircuit(4, (Gate.cnot(1, 2),))
         with pytest.raises(ValueError):
             per_block_circuits(circ, BlockSpec.uniform(2, 4))
+
+    @pytest.mark.parametrize("gate", [Gate.cnot(3, 4), Gate.cnot(1, 0), Gate.cnot(5, 0)])
+    def test_per_block_rejects_crossing_uneven_blocks(self, gate):
+        circ = CliffordCircuit(6, (gate,))
+        with pytest.raises(ValueError, match="crosses a block boundary"):
+            per_block_circuits(circ, BlockSpec((1, 3, 2)))
+
+    def test_per_block_uneven_blocks(self):
+        gates = (Gate.h(5), Gate.cnot(3, 1), Gate.s(0), Gate.cnot(4, 5), Gate.h(2))
+        subs = per_block_circuits(CliffordCircuit(6, gates), BlockSpec((1, 3, 2)))
+        assert [sub.gates for sub in subs] == [
+            (Gate.s(0),),
+            (Gate.cnot(3, 1), Gate.h(2)),
+            (Gate.h(5), Gate.cnot(4, 5)),
+        ]
+        assert all(sub.n_qubits == 6 for sub in subs)
 
     def test_text_roundtrip(self):
         circ = CliffordCircuit(6, (Gate.h(3), Gate.s(0), Gate.cnot(2, 5)))
