@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import statistics
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Sequence
 
 from .clifford import circuit_depth, diagonalize_group, per_block_circuits
@@ -39,20 +39,20 @@ __all__ = [
 ]
 
 
+class _Row:
+    def to_json_dict(self) -> dict:
+        """The row's fields in declaration order, without optional columns
+        that are None."""
+        return {key: v for key, v in asdict(self).items() if v is not None}
+
+
 @dataclass(frozen=True)
-class SweepRow:
+class SweepRow(_Row):
     k: int
     num_groups: int
     r_hat: float
     max_block_circuit_gates: int | None = None
     max_block_circuit_depth: int | None = None
-
-    def to_json_dict(self) -> dict:
-        out = {"k": self.k, "num_groups": self.num_groups, "r_hat": self.r_hat}
-        if self.max_block_circuit_gates is not None:
-            out["max_block_circuit_gates"] = self.max_block_circuit_gates
-            out["max_block_circuit_depth"] = self.max_block_circuit_depth
-        return out
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,7 @@ class KStarResult:
 
 
 @dataclass(frozen=True)
-class ScalingRow:
+class ScalingRow(_Row):
     n: int
     k_star_rhat: float
     k_star_groups: float
@@ -70,27 +70,17 @@ class ScalingRow:
     k_star_groups_std: float | None = None
     num_seeds: int | None = None
 
-    def to_json_dict(self) -> dict:
-        out = {
-            "n": self.n,
-            "k_star_rhat": self.k_star_rhat,
-            "k_star_groups": self.k_star_groups,
-        }
-        if self.num_seeds is not None:
-            out["k_star_rhat_std"] = self.k_star_rhat_std
-            out["k_star_groups_std"] = self.k_star_groups_std
-            out["num_seeds"] = self.num_seeds
-        return out
-
 
 def _map(fn: Callable, items: list, jobs: int) -> list:
-    """[fn(item) for item in items], on `jobs` worker processes when
-    jobs > 1 and there is more than one item. The pool is imported only
-    here: importing it loads multiprocessing, which serial runs need not."""
+    """[fn(item) for item in items], on up to `jobs` worker processes when
+    jobs > 1 and there is more than one item. No more workers start than
+    there are items: under fork the pool starts all of them up front. The
+    pool is imported only here: importing it loads multiprocessing, which
+    serial runs need not."""
     if jobs > 1 and len(items) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
             return list(pool.map(fn, items))
     return [fn(item) for item in items]
 
@@ -333,13 +323,19 @@ def diag_gate_lower_bound(n: int, r: int) -> float:
     The numerator is log2 of the ratio between all independent commuting
     r-sets and the r-sets any single circuit can diagonalize (the
     linearly independent subsets of one 2^n-element commuting subgroup);
-    the denominator counts the gate choices per step.
+    the denominator counts the gate choices per step. The terms add left
+    to right, the same on every Python (builtin sum() compensates from
+    3.12 on).
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     if not 1 <= r <= n:
         raise ValueError(f"need 1 <= r <= n, got r={r}")
-    total = sum(math.log2(1 + 2 ** (n - k)) for k in range(r))
+    total = 0.0
+    for m in range(n, n - r, -1):
+        # from m = 53 on, 1 + 2^m rounds to 2^m, so the term is exactly m;
+        # skip building the m-bit integer
+        total += math.log2(1 + 2**m) if m < 53 else float(m)
     return total / math.log2(n * n + n + 1)
 
 

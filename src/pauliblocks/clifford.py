@@ -136,6 +136,7 @@ def _transpose(columns: Sequence[int], height: int) -> list[int]:
     return [int("".join(row), 2) for row in zip(*digits)]
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class Tableau:
     """Symplectic action of a circuit on the phaseless Pauli generators.
 
@@ -143,21 +144,18 @@ class Tableau:
     of an arbitrary string is the XOR combination selected by its bits.
     """
 
-    __slots__ = ("n_qubits", "x_images", "z_images")
+    n_qubits: int
+    x_images: tuple[tuple[int, int], ...]
+    z_images: tuple[tuple[int, int], ...]
 
-    def __init__(
-        self,
-        n_qubits: int,
-        x_images: Sequence[tuple[int, int]],
-        z_images: Sequence[tuple[int, int]],
-    ):
+    def __post_init__(self):
+        n_qubits = self.n_qubits
         if n_qubits < 1:
             raise ValueError(f"n_qubits must be positive, got {n_qubits}")
-        if len(x_images) != n_qubits or len(z_images) != n_qubits:
+        if len(self.x_images) != n_qubits or len(self.z_images) != n_qubits:
             raise ValueError("need one image per basis generator")
-        self.n_qubits = n_qubits
-        self.x_images = tuple(x_images)
-        self.z_images = tuple(z_images)
+        object.__setattr__(self, "x_images", tuple(self.x_images))
+        object.__setattr__(self, "z_images", tuple(self.z_images))
         limit = 1 << n_qubits
         for x, z in self.x_images + self.z_images:
             if not (0 <= x < limit and 0 <= z < limit):

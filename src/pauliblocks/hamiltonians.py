@@ -322,8 +322,6 @@ def load_hamiltonian(path) -> Hamiltonian:
                 raise HamiltonianFileError(f"{path}: line {ln}: {exc}") from None
             dense = isinstance(notation, str)
             n = max(n, len(notation) if dense else 1 + max(i for _, i in notation))
-        if n == 0:
-            raise HamiltonianFileError(f"{path}: could not infer qubit count")
 
     raw: list[tuple[int, float, PauliString]] = []
     for ln, coeff, text in entries:

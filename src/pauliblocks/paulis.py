@@ -16,6 +16,7 @@ the same test to each block of an ordered qubit partition, and
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 __all__ = [
@@ -39,6 +40,7 @@ _X_DIGITS = str.maketrans("IXYZ", "0110")
 _Z_DIGITS = str.maketrans("IXYZ", "0011")
 
 
+@dataclass(frozen=True, slots=True)
 class PauliString:
     """An immutable, phaseless n-qubit Pauli string.
 
@@ -47,26 +49,21 @@ class PauliString:
     to share between threads.
     """
 
-    __slots__ = ("n_qubits", "x_bits", "z_bits", "_hash")
+    n_qubits: int
+    x_bits: int = 0
+    z_bits: int = 0
+    # computed once: loading a Hamiltonian hashes each string several times
+    _hash: int = field(init=False, repr=False, compare=False)
 
-    def __init__(self, n_qubits: int, x_bits: int = 0, z_bits: int = 0):
+    def __post_init__(self):
+        n_qubits, x_bits, z_bits = self.n_qubits, self.x_bits, self.z_bits
         if n_qubits < 1:
             raise ValueError(f"n_qubits must be positive, got {n_qubits}")
         # bit_length, not a comparison with 1 << n_qubits, so that a wide
         # string costs no n_qubits-bit integer
         if x_bits < 0 or z_bits < 0 or (x_bits | z_bits).bit_length() > n_qubits:
             raise ValueError(f"bit vectors out of range for {n_qubits} qubits")
-        object.__setattr__(self, "n_qubits", n_qubits)
-        object.__setattr__(self, "x_bits", x_bits)
-        object.__setattr__(self, "z_bits", z_bits)
-        # computed once: loading a Hamiltonian hashes each string several times
         object.__setattr__(self, "_hash", hash((n_qubits, x_bits, z_bits)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PauliString is immutable")
-
-    def __reduce__(self):
-        return (PauliString, (self.n_qubits, self.x_bits, self.z_bits))
 
     @classmethod
     def identity(cls, n_qubits: int) -> "PauliString":
@@ -95,15 +92,6 @@ class PauliString:
             chars.append("IXZY"[x + 2 * z])
         return "".join(chars)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PauliString):
-            return NotImplemented
-        return (
-            self.n_qubits == other.n_qubits
-            and self.x_bits == other.x_bits
-            and self.z_bits == other.z_bits
-        )
-
     def __hash__(self) -> int:
         return self._hash
 
@@ -114,6 +102,7 @@ class PauliString:
         return self.render()
 
 
+@dataclass(frozen=True, slots=True)
 class BlockSpec:
     """An ordered partition of n qubit positions into contiguous blocks.
 
@@ -122,10 +111,12 @@ class BlockSpec:
     block are precomputed once at construction.
     """
 
-    __slots__ = ("sizes", "spans", "masks")
+    sizes: tuple[int, ...]
+    spans: tuple[tuple[int, int], ...] = field(init=False, compare=False)
+    masks: tuple[int, ...] = field(init=False, compare=False)
 
-    def __init__(self, sizes: Iterable[int]):
-        sizes = tuple(int(s) for s in sizes)
+    def __post_init__(self):
+        sizes = tuple(int(s) for s in self.sizes)
         if not sizes:
             raise ValueError("BlockSpec needs at least one block")
         if any(s < 1 for s in sizes):
@@ -141,12 +132,6 @@ class BlockSpec:
         object.__setattr__(self, "sizes", sizes)
         object.__setattr__(self, "spans", tuple(spans))
         object.__setattr__(self, "masks", tuple(masks))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BlockSpec is immutable")
-
-    def __reduce__(self):
-        return (BlockSpec, (self.sizes,))
 
     @classmethod
     def uniform(cls, k: int, n_qubits: int) -> "BlockSpec":
@@ -174,14 +159,6 @@ class BlockSpec:
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
         return iter(self.spans)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BlockSpec):
-            return NotImplemented
-        return self.sizes == other.sizes
-
-    def __hash__(self) -> int:
-        return hash(self.sizes)
 
     def __repr__(self) -> str:
         return f"BlockSpec({self.sizes})"

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import concurrent.futures
+import functools
 import itertools
 import math
+import operator
 import random
 
 import mpmath
@@ -13,6 +16,7 @@ from pauliblocks import (
     BlockSpec,
     Hamiltonian,
     PauliString,
+    ScalingRow,
     SweepRow,
     Term,
     bacon_shor,
@@ -217,6 +221,36 @@ class TestGateBound:
         with pytest.raises(ValueError):
             diag_gate_lower_bound(4, 5)
 
+    @staticmethod
+    def left_to_right(n, r):
+        terms = [math.log2(1 + 2 ** (n - k)) for k in range(r)]
+        return functools.reduce(operator.add, terms) / math.log2(n * n + n + 1)
+
+    def test_adds_left_to_right(self):
+        # builtin sum() compensates from Python 3.12 on; the bound must not
+        for n in range(2, 220):
+            for r in sorted({1, 2, max(1, n // 2), n - 1, n}):
+                assert diag_gate_lower_bound(n, r) == self.left_to_right(n, r), (n, r)
+        # past m = 1023, 2^m no longer converts to a float
+        assert diag_gate_lower_bound(1500, 1500) == self.left_to_right(1500, 1500)
+        assert diag_gate_lower_bound(20, 20) == 24.232778599479886
+        assert diag_gate_lower_bound(128, 128) == 589.327535985073
+
+    def test_wide_terms_are_exact_integers(self):
+        # why the bound may skip 2^m from m = 53 on
+        assert all(math.log2(1 + 2**m) == float(m) for m in range(53, 5000))
+
+    def test_builds_no_wide_integer(self, monkeypatch):
+        real = math.log2
+
+        def narrow_log2(v):
+            assert not isinstance(v, int) or v.bit_length() <= 53, "wide integer"
+            return real(v)
+
+        monkeypatch.setattr(math, "log2", narrow_log2)
+        huge = diag_gate_lower_bound(100_000, 100_000)
+        assert huge == pytest.approx(100_000 * 100_001 / 2 / real(100_001**2 - 100_000))
+
     def test_depth_floor(self):
         assert min_circuit_depth(1.39, 2) == 1
         assert min_circuit_depth(9, 4) == 3
@@ -271,6 +305,44 @@ class TestSweep:
         serial = k_sweep(h, range(1, 11), with_circuits=True, jobs=1)
         parallel = k_sweep(h, range(1, 11), with_circuits=True, jobs=2)
         assert serial == parallel
+
+    def test_pool_starts_no_more_workers_than_cells(self, monkeypatch):
+        started = []  # max_workers of every pool; no process is started
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        h = tfim(6)
+        assert k_sweep(h, [1, 2], jobs=64) == k_sweep(h, [1, 2], jobs=1)
+        assert k_sweep(h, range(1, 7), jobs=3) == k_sweep(h, range(1, 7), jobs=1)
+        assert k_star_scaling(tfim, [4, 5, 6], jobs=8) == k_star_scaling(tfim, [4, 5, 6])
+        assert started == [2, 3, 3]
+
+    def test_rows_to_json_drop_absent_columns(self):
+        assert SweepRow(2, 3, 0.5).to_json_dict() == {"k": 2, "num_groups": 3, "r_hat": 0.5}
+        full = SweepRow(2, 3, 0.5, 7, 4).to_json_dict()
+        assert list(full.items()) == [
+            ("k", 2), ("num_groups", 3), ("r_hat", 0.5),
+            ("max_block_circuit_gates", 7), ("max_block_circuit_depth", 4),
+        ]
+        exact = ScalingRow(4, 2, 1).to_json_dict()
+        assert exact == {"n": 4, "k_star_rhat": 2, "k_star_groups": 1}
+        spread = ScalingRow(4, 2.5, 1.0, 0.5, 0.0, 2).to_json_dict()
+        assert list(spread.items()) == [
+            ("n", 4), ("k_star_rhat", 2.5), ("k_star_groups", 1.0),
+            ("k_star_rhat_std", 0.5), ("k_star_groups_std", 0.0), ("num_seeds", 2),
+        ]
 
     def test_term_table_built_once_per_hamiltonian(self, monkeypatch):
         calls = []  # the width of every term table built

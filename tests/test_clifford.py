@@ -134,6 +134,19 @@ class TestTableau:
         with pytest.raises(ValueError, match="positive"):
             Tableau(0, [], [])
 
+    def test_immutable(self):
+        tab = Tableau.from_circuit(CliffordCircuit(1, (Gate.h(0),)))
+        for name, value in (("n_qubits", 2), ("x_images", ((5, 7),)), ("z_images", ())):
+            with pytest.raises(AttributeError):
+                setattr(tab, name, value)
+        # an image out of range cannot get past the constructor's check
+        assert tab.x_images == ((0, 1),) and tab.is_symplectic()
+
+    def test_images_stored_as_tuples_compared_by_identity(self):
+        tab = Tableau(1, [(0, 1)], [(1, 0)])
+        assert tab.x_images == ((0, 1),) and tab.z_images == ((1, 0),)
+        assert tab == tab and tab != Tableau(1, [(0, 1)], [(1, 0)])
+
     @pytest.mark.parametrize(
         "x_images, z_images",
         [([(-1, 0)], [(0, 1)]), ([(1, 0)], [(0, 2)]), ([(1, -2)], [(0, 1)])],

@@ -152,6 +152,9 @@ CASES = {
     ),
     # bound and diag
     "bound": _case("bound", "--n", "8", "--r", "4"),
+    # long enough that a compensated sum (builtin sum() from 3.12 on)
+    # would print different digits
+    "bound_wide": _case("bound", "--n", "128", "--r", "128"),
     "diag_stdout": _case("diag", "mixed.txt", "--k", "3", files=_M),
     "diag_out": _case(
         "diag", "mixed.txt", "--blocks", "2,4", "--group-index", "1", "--out", "c.txt",

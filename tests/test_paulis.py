@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -90,8 +92,26 @@ class TestParse:
 
     def test_immutable(self):
         p = parse_pauli("XY", 2)
-        with pytest.raises(AttributeError):
-            p.x_bits = 0
+        for name in ("n_qubits", "x_bits", "z_bits", "_hash"):
+            with pytest.raises(AttributeError):
+                setattr(p, name, 0)
+        # no new attribute either (CPython 3.10 to 3.13 raise TypeError for
+        # a name that is not a field of a frozen slots dataclass)
+        with pytest.raises((AttributeError, TypeError)):
+            p.phase = 1
+        assert p == parse_pauli("XY", 2)
+
+    def test_pickle_round_trip_keeps_value_and_hash(self):
+        p = parse_pauli("XIYZ", 4)
+        q = pickle.loads(pickle.dumps(p))
+        assert q == p and hash(q) == hash(p) and repr(q) == "PauliString('XIYZ')"
+        assert copy.deepcopy(p) == p
+
+    def test_equality_is_by_value_only(self):
+        assert PauliString(3, 1, 2) == PauliString(n_qubits=3, x_bits=1, z_bits=2)
+        assert PauliString(3, 1, 2) != PauliString(4, 1, 2)
+        assert PauliString(3, 1, 2) != (3, 1, 2)
+        assert len({PauliString(3, 1, 2), PauliString(3, 1, 2)}) == 1
 
     def test_weight_and_support(self):
         p = parse_pauli("XIYZ", 4)
@@ -174,6 +194,21 @@ class TestBlockSpec:
         spec = BlockSpec([1, 2])
         assert spec.spans == ((0, 1), (1, 3))
         assert spec.masks == (0b001, 0b110)
+
+    def test_immutable(self):
+        spec = BlockSpec([1, 2])
+        for name in ("sizes", "spans", "masks"):
+            with pytest.raises(AttributeError):
+                setattr(spec, name, ())
+        assert spec.sizes == (1, 2) and spec.masks == (0b001, 0b110)
+
+    def test_value_semantics(self):
+        spec = BlockSpec(iter([1, 2]))
+        assert spec == BlockSpec((1, 2)) and hash(spec) == hash(BlockSpec([1, 2]))
+        assert spec != BlockSpec((2, 1)) and spec != (1, 2)
+        assert repr(spec) == "BlockSpec((1, 2))"
+        back = pickle.loads(pickle.dumps(spec))
+        assert back == spec and back.spans == spec.spans and back.masks == spec.masks
 
 
 class TestKCommutes:
