@@ -57,17 +57,22 @@ def _blocks_from_args(args, n: int) -> BlockSpec:
         raise ValueError("give exactly one of --k or --blocks")
     if args.k is not None:
         return BlockSpec.uniform(args.k, n)
-    spec = BlockSpec(_parse_sizes(args.blocks))
-    spec.require_n(n)
-    return spec
+    sizes = _parse_sizes(args.blocks)
+    if sum(sizes) != n:  # before BlockSpec builds a mask as wide as each prefix
+        raise ValueError(f"block sizes sum to {sum(sizes)}, expected {n}")
+    return BlockSpec(sizes)
 
 
 def _parse_ks(text: str | None, n: int) -> list[int]:
     if text is None:
         return list(range(1, n + 1))
     if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
+        lo, hi = (int(s) for s in text.split("..", 1))
+        if lo <= hi and (lo < 1 or hi > n):
+            # fail before building the list, naming the k that k_sweep would
+            bad = lo if lo < 1 else max(lo, n + 1)
+            raise ValueError(f"block size {bad} out of range [1, {n}]")
+        return list(range(lo, hi + 1))
     return _parse_sizes(text)
 
 

@@ -15,6 +15,8 @@ gate that crosses a block boundary.
 
 from __future__ import annotations
 
+import functools
+import operator
 import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -129,6 +131,21 @@ def is_diagonal(pauli: PauliString) -> bool:
     return pauli.x_bits == 0
 
 
+def _apply_to_columns(gate: Gate, xs, zs) -> None:
+    """Apply a gate to a bit matrix held column-wise, in place: xs[q] and
+    zs[q] mask the rows with an x or z bit on qubit q."""
+    if gate.kind == "H":
+        (q,) = gate.qubits
+        xs[q], zs[q] = zs[q], xs[q]
+    elif gate.kind == "S":
+        (q,) = gate.qubits
+        zs[q] ^= xs[q]
+    else:
+        c, t = gate.qubits
+        xs[t] ^= xs[c]
+        zs[c] ^= zs[t]
+
+
 def _transpose(columns: Sequence[int], height: int) -> list[int]:
     """Transpose a bit matrix: bit q of row r is bit r of columns[q]."""
     # reversed strings put row r at index r; the last column is the top digit
@@ -167,23 +184,14 @@ class Tableau:
 
         xs[q] and zs[q] mask the 2n generator rows (X_j is row j, Z_j row
         n + j) whose image has an x or z bit on qubit q, so each gate costs
-        O(1) big-int operations. This implements the conjugation rules apart
-        from the row-wise replay that synthesis and `conjugate` use.
+        O(1) big-int operations. Synthesis applies its gates by the same
+        column rules; `conjugate` replays them row-wise, apart from both.
         """
         n = circuit.n_qubits
         xs = [1 << q for q in range(n)]
         zs = [1 << (n + q) for q in range(n)]
         for gate in circuit.gates:
-            if gate.kind == "H":
-                (q,) = gate.qubits
-                xs[q], zs[q] = zs[q], xs[q]
-            elif gate.kind == "S":
-                (q,) = gate.qubits
-                zs[q] ^= xs[q]
-            else:
-                c, t = gate.qubits
-                xs[t] ^= xs[c]
-                zs[c] ^= zs[t]
+            _apply_to_columns(gate, xs, zs)
         images = list(zip(_transpose(xs, 2 * n), _transpose(zs, 2 * n)))
         return cls(n, images[:n], images[n:])
 
@@ -235,58 +243,58 @@ def _independent_rows(vectors: Iterable[tuple[int, int]], width: int) -> list[li
     return [[v >> width, v & mask] for _, v in sorted(pivots.items(), reverse=True)]
 
 
-def _diagonalize_block(rows: list[list[int]], qubits: range) -> list[Gate]:
-    """Emit {CNOT, H, S} gates on `qubits` sending every row to Z-type.
+def _diagonalize_block(rows: Sequence[Sequence[int]], qubits: range) -> list[Gate]:
+    """Emit {CNOT, H, S} gates on `qubits` sending every (x, z) row to Z-type.
 
     `rows` must be independent, pairwise commuting and supported on
-    `qubits`; they are updated in place to their images. Each pass fixes one
-    row to a single-qubit Z on a fresh pivot, which later gates never touch,
-    so later gates skip the fixed rows and the loop terminates within
-    len(rows) passes. A failure to do so indicates a precondition violation
-    and raises RuntimeError.
+    `qubits`. They are held column-wise: xs[q] and zs[q] mask the rows with
+    an x or z bit on qubit q, so each gate costs O(1) big-int operations
+    whatever the number of rows. Each pass fixes one row to a single-qubit Z
+    on a fresh pivot, which later gates never touch, so the loop terminates
+    within len(rows) passes. A failure to do so indicates a precondition
+    violation and raises RuntimeError.
     """
+    xs, zs = dict.fromkeys(qubits, 0), dict.fromkeys(qubits, 0)
+    for i, (x, z) in enumerate(rows):
+        for cols, bits in ((xs, x), (zs, z)):
+            while bits:
+                low = bits & -bits
+                cols[low.bit_length() - 1] |= 1 << i
+                bits ^= low
+    open_rows = (1 << len(rows)) - 1  # rows not yet fixed; bit i is row i
     gates: list[Gate] = []
-    open_rows = list(rows)  # rows not yet fixed, in their original order
-    pivots = 0  # bitmask of the fixed rows' pivot qubits
 
     def emit(gate: Gate) -> None:
         gates.append(gate)
-        for row in open_rows:
-            row[0], row[1] = _apply_gate(gate, row[0], row[1])
+        _apply_to_columns(gate, xs, zs)
 
     for _ in range(len(rows)):
-        candidate = -1
-        for i, row in enumerate(open_rows):
-            if row[0] & pivots:
-                raise RuntimeError("block diagonalization failed: rows do not commute")
-            # clear Z entries on already-fixed pivots by row multiplication;
-            # products of diagonalized rows stay diagonalized
-            row[1] &= ~pivots
-            if row[0] and candidate < 0:
-                candidate = i
-        if candidate < 0:
+        open_x = open_rows & functools.reduce(operator.or_, xs.values())
+        if not open_x:
             break
-        row = open_rows[candidate]
-        x = row[0]
-        pivot = (x & -x).bit_length() - 1
-        for j in qubits:
-            if j != pivot and (x >> j) & 1:
-                emit(Gate.cnot(pivot, j))
-        if (row[1] >> pivot) & 1:
+        row = open_x & -open_x  # the first open row with an x bit
+        x_support = [q for q, col in xs.items() if col & row]
+        pivot = x_support[0]
+        for j in x_support[1:]:
+            emit(Gate.cnot(pivot, j))
+        if zs[pivot] & row:
             emit(Gate.s(pivot))
-        z_rest = row[1]
-        for j in qubits:
-            if (z_rest >> j) & 1:
-                emit(Gate.h(j))
-        for j in qubits:
-            if (z_rest >> j) & 1:
-                emit(Gate.cnot(pivot, j))
-        if row != [1 << pivot, 0]:
+        z_rest = [q for q, col in zs.items() if col & row]
+        for j in z_rest:
+            emit(Gate.h(j))
+        for j in z_rest:
+            emit(Gate.cnot(pivot, j))
+        support = [q for q, col in xs.items() if (col | zs[q]) & row]
+        if support != [pivot] or zs[pivot] & row:  # the row is not X on the pivot
             raise RuntimeError("block diagonalization failed to isolate a pivot")
         emit(Gate.h(pivot))
-        del open_rows[candidate]
-        pivots |= 1 << pivot
-    if any(row[0] for row in open_rows):
+        open_rows ^= row
+        # no later gate touches the pivot, so check its final columns once and
+        # clear its Z entries on the open rows (a product with the fixed row)
+        if xs[pivot] & open_rows:
+            raise RuntimeError("block diagonalization failed: rows do not commute")
+        zs[pivot] &= ~open_rows
+    if open_rows and open_rows & functools.reduce(operator.or_, xs.values()):
         raise RuntimeError("block diagonalization left a non-diagonal row")
     return gates
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -262,7 +263,8 @@ def load_hamiltonian(path) -> Hamiltonian:
     index + 1, and every dense line must then have exactly that length.
 
     Raises:
-        HamiltonianFileError: malformed or inconsistent line, non-finite
+        HamiltonianFileError: malformed or inconsistent line, a width or
+            sparse index that needs more than sys.maxsize qubits, non-finite
             coefficient, a duplicate whose merged coefficient overflows, or
             identity lines whose offset overflows (message includes the
             1-based line number), or empty file.
@@ -290,6 +292,10 @@ def load_hamiltonian(path) -> Hamiltonian:
             if declared_n < 1:
                 raise HamiltonianFileError(
                     f"{path}: line {ln}: qubit count must be positive"
+                )
+            if declared_n > sys.maxsize:
+                raise HamiltonianFileError(
+                    f"{path}: line {ln}: qubit count {declared_n} exceeds sys.maxsize"
                 )
             continue
         fields = stripped.split(None, 1)
@@ -321,7 +327,13 @@ def load_hamiltonian(path) -> Hamiltonian:
             except ValueError as exc:
                 raise HamiltonianFileError(f"{path}: line {ln}: {exc}") from None
             dense = isinstance(notation, str)
-            n = max(n, len(notation) if dense else 1 + max(i for _, i in notation))
+            width = len(notation) if dense else 1 + max(i for _, i in notation)
+            if width > sys.maxsize:
+                raise HamiltonianFileError(
+                    f"{path}: line {ln}: qubit index {width - 1} needs more than "
+                    "sys.maxsize qubits"
+                )
+            n = max(n, width)
 
     raw: list[tuple[int, float, PauliString]] = []
     for ln, coeff, text in entries:

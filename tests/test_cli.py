@@ -158,6 +158,17 @@ class TestSweep:
         capsys.readouterr()
         assert run_cli("sweep", str(path), "--ks", "1..20", "--jobs", "1") == 1
 
+    @pytest.mark.parametrize(
+        "ks, bad",
+        [("0..3", "0"), ("2..99", "17"), (f"1..{10**23}", "17"), (f"-{10**23}..2", f"-{10**23}")],
+        ids=["low", "high", "huge-high", "huge-low"],
+    )
+    def test_range_names_smallest_k_out_of_range(self, tmp_path, capsys, ks, bad):
+        path = self.make_bacon(tmp_path)
+        capsys.readouterr()
+        assert run_cli("sweep", str(path), f"--ks={ks}", "--jobs", "1") == 1
+        assert capsys.readouterr().err == f"error: block size {bad} out of range [1, 16]\n"
+
 
 class TestKstarBoundDiag:
     def test_kstar_tfim(self, capsys):
@@ -324,21 +335,43 @@ def test_out_of_memory_is_one_error_line(tmp_path, k):
     # must never run without it
     path = tmp_path / "h.txt"
     path.write_text("qubits: 99999999999\n1.0 X0\n")
+    _assert_out_of_memory(["group", str(path), "--k", k])
+
+
+@pytest.mark.skipif(resource is None, reason="needs resource.setrlimit")
+@pytest.mark.parametrize(
+    "text, args",
+    [
+        (f"qubits: {sys.maxsize}\n1.0 X0\n", ["--k", "1"]),
+        (f"qubits: {sys.maxsize}\n1.0 X0\n", ["--k", str(sys.maxsize)]),
+        (f"qubits: {sys.maxsize}\n1.0 X0\n", ["--blocks", str(sys.maxsize)]),
+        (f"1.0 X{sys.maxsize - 1}\n", ["--k", "1"]),
+    ],
+    ids=["k1", "kn", "blocks", "sparse-index"],
+)
+def test_widest_loadable_input_is_out_of_memory(tmp_path, text, args):
+    # a width of sys.maxsize loads; the first mask or list it needs cannot
+    # be allocated, under the address-space limit or without it
+    path = tmp_path / "h.txt"
+    path.write_text(text)
+    _assert_out_of_memory(["group", str(path), *args])
+
+
+def _assert_out_of_memory(argv):
     limit = 1500 * 2**20
 
     def limit_memory():
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
     result = subprocess.run(
-        [sys.executable, "-m", "pauliblocks", "group", str(path), "--k", k],
+        [sys.executable, "-m", "pauliblocks", *argv],
         capture_output=True,
         text=True,
         preexec_fn=limit_memory,
     )
     assert result.returncode == 1
     assert result.stdout == ""
-    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
-    assert result.stderr.strip() != "error:"
+    assert result.stderr == "error: out of memory\n"
 
 
 class TestEntryPoint:

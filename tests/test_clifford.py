@@ -14,6 +14,7 @@ from pauliblocks import (
     Gate,
     PauliString,
     Tableau,
+    bacon_shor,
     circuit_depth,
     circuit_from_text,
     circuit_to_text,
@@ -21,12 +22,14 @@ from pauliblocks import (
     conjugate,
     count_diagonalized,
     diagonalize_group,
+    hardcore_boson_1d,
     is_diagonal,
     parse_pauli,
     per_block_circuits,
     random_circuit,
     random_hamiltonian,
     sorted_insertion,
+    tfim,
 )
 
 
@@ -262,6 +265,145 @@ class TestDiagonalizeGroup:
             conj = u @ pauli_matrix(p) @ u.conj().T
             off_diagonal = conj - np.diag(np.diag(conj))
             assert np.allclose(off_diagonal, 0)
+
+
+def row_wise_diagonalize_block(rows: list[list[int]], qubits: range) -> list[Gate]:
+    """Reference synthesis: the elimination applied row by row, each emitted
+    gate replayed on every row not yet fixed through `clifford._apply_gate`,
+    independently of the column rules that the library uses."""
+    gates: list[Gate] = []
+    open_rows = list(rows)  # rows not yet fixed, in their original order
+    pivots = 0  # bitmask of the fixed rows' pivot qubits
+
+    def emit(gate: Gate) -> None:
+        gates.append(gate)
+        for row in open_rows:
+            row[0], row[1] = clifford._apply_gate(gate, row[0], row[1])
+
+    for _ in range(len(rows)):
+        candidate = -1
+        for i, row in enumerate(open_rows):
+            if row[0] & pivots:
+                raise RuntimeError("block diagonalization failed: rows do not commute")
+            # clear Z entries on already-fixed pivots by row multiplication
+            row[1] &= ~pivots
+            if row[0] and candidate < 0:
+                candidate = i
+        if candidate < 0:
+            break
+        row = open_rows[candidate]
+        x = row[0]
+        pivot = (x & -x).bit_length() - 1
+        for j in qubits:
+            if j != pivot and (x >> j) & 1:
+                emit(Gate.cnot(pivot, j))
+        if (row[1] >> pivot) & 1:
+            emit(Gate.s(pivot))
+        z_rest = row[1]
+        for j in qubits:
+            if (z_rest >> j) & 1:
+                emit(Gate.h(j))
+        for j in qubits:
+            if (z_rest >> j) & 1:
+                emit(Gate.cnot(pivot, j))
+        if row != [1 << pivot, 0]:
+            raise RuntimeError("block diagonalization failed to isolate a pivot")
+        emit(Gate.h(pivot))
+        del open_rows[candidate]
+        pivots |= 1 << pivot
+    if any(row[0] for row in open_rows):
+        raise RuntimeError("block diagonalization left a non-diagonal row")
+    return gates
+
+
+def reference_gates(members: list[PauliString], blocks: BlockSpec) -> tuple[Gate, ...]:
+    gates: list[Gate] = []
+    for (start, stop), mask in zip(blocks.spans, blocks.masks):
+        restrictions = ((p.x_bits & mask, p.z_bits & mask) for p in members)
+        rows = clifford._independent_rows(restrictions, stop)
+        gates += row_wise_diagonalize_block(rows, range(start, stop))
+    return tuple(gates)
+
+
+def random_block_commuting_set(rng: random.Random, blocks: BlockSpec, size: int):
+    """`size` Z-type strings, repeats and products allowed, conjugated by a
+    random circuit that stays inside each block: they block-commute."""
+    n = blocks.n_qubits
+    gates = []
+    for start, stop in blocks.spans:
+        width = stop - start
+        local = random_circuit(width, rng.randrange(4 * width * width + 1), rng.getrandbits(30))
+        gates += [Gate(g.kind, tuple(q + start for q in g.qubits)) for g in local.gates]
+    circ = CliffordCircuit(n, tuple(gates))
+    return [conjugate(circ, PauliString(n, 0, rng.getrandbits(n))) for _ in range(size)]
+
+
+class TestSynthesisMatchesRowWiseReference:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 21, 40])
+    def test_random_commuting_sets_uniform_blocks(self, n):
+        rng = random.Random(n)
+        for trial in range(4):
+            k = rng.randint(1, n)
+            blocks = BlockSpec.uniform(k, n)
+            members = random_block_commuting_set(rng, blocks, rng.randint(1, n))
+            assert diagonalize_group(members, blocks).gates == reference_gates(
+                members, blocks
+            )
+
+    @pytest.mark.parametrize(
+        "sizes", [(1, 2, 3), (3, 2, 1), (5, 1, 7, 2), (1,) * 6, (13, 27), (40,)]
+    )
+    def test_random_commuting_sets_uneven_blocks(self, sizes):
+        blocks = BlockSpec(sizes)
+        rng = random.Random(sum(sizes) * len(sizes))
+        for _ in range(4):
+            members = random_block_commuting_set(rng, blocks, rng.randint(1, sum(sizes)))
+            assert diagonalize_group(members, blocks).gates == reference_gates(
+                members, blocks
+            )
+
+    @pytest.mark.parametrize(
+        "h",
+        [bacon_shor(3, 3), bacon_shor(2, 4, "row_major"), tfim(7, g=0.5),
+         hardcore_boson_1d(6), random_hamiltonian(10, 2.0, seed=3)],
+        ids=["bacon-shor", "bacon-shor-row-major", "tfim", "hardcore-boson", "random"],
+    )
+    def test_every_group_at_every_k_of_each_family(self, h):
+        paulis = h.paulis()
+        for k in range(1, h.n_qubits + 1):
+            blocks = BlockSpec.uniform(k, h.n_qubits)
+            for group in sorted_insertion(h, blocks).groups:
+                members = [paulis[i] for i in group]
+                assert diagonalize_group(members, blocks).gates == reference_gates(
+                    members, blocks
+                )
+
+    def test_built_without_the_row_replay(self, monkeypatch):
+        # conjugate() must stay an implementation of the gate rules apart
+        # from synthesis, so that it checks synthesis independently
+        rng = random.Random(5)
+        blocks = BlockSpec((3, 5, 4))
+        members = random_block_commuting_set(rng, blocks, 12)
+        expected = reference_gates(members, blocks)
+
+        def refuse(*args):
+            raise AssertionError("row-wise replay used")
+
+        monkeypatch.setattr(clifford, "_apply_gate", refuse)
+        assert diagonalize_group(members, blocks).gates == expected
+
+    def test_anticommuting_rows_raise(self):
+        with pytest.raises(RuntimeError, match="do not commute"):
+            clifford._diagonalize_block([(1, 0), (0, 1)], range(1))
+        with pytest.raises(RuntimeError, match="do not commute"):
+            row_wise_diagonalize_block([[1, 0], [0, 1]], range(1))
+
+    def test_pivot_check_reads_the_columns(self, monkeypatch):
+        # with the column gate rules disabled, the row XX stays XX and the
+        # check that the pass isolated its pivot must fire
+        monkeypatch.setattr(clifford, "_apply_to_columns", lambda gate, xs, zs: None)
+        with pytest.raises(RuntimeError, match="isolate a pivot"):
+            clifford._diagonalize_block([(0b11, 0)], range(2))
 
 
 class TestCountDiagonalized:

@@ -82,6 +82,31 @@ BACON = "qubits: 9\n1.0 XXXXXXIII\n1.0 IIIXXXXXX\n1.0 ZZIZZIZZI\n1.0 IZZIZZIZZ\n
 
 MALFORMED = "qubits: 2\n1.0 XX\nbroken\n"
 
+HUGE = "99999999999999999999999"  # above sys.maxsize
+
+# Z_0 .. Z_15 conjugated by random_circuit(16, 400, seed=16), with distinct
+# dyadic coefficients: 16 independent, pairwise commuting dense strings, so
+# `diag --k 16` eliminates a full-rank 16 x 16 block.
+DENSE16 = """\
+qubits: 16
+1.0 YXXYIYXXIYIZIZZZ
+0.9375 XZZYZXYYYIXZYXXI
+0.875 YZXXIIIZZYIXXXZY
+0.8125 XIZXXZIIYXYZIXIZ
+0.75 YIIZZYYYYZZIXIZI
+0.6875 XXXZXIXXZZXZXYZZ
+0.625 ZXXZZXZZYZIYXYZZ
+0.5625 IXZYYYYZZXZXYXZZ
+0.5 ZYXXXIZYYIIXIZIZ
+0.4375 ZXXIZYZIXYYZZYZY
+0.375 YYYYZIZIXZYZIIII
+0.3125 YXZXYYXYXZYYZXIZ
+0.25 IZZYIZIXIIXXXXIX
+0.1875 XXIZZXZYIIYXIYIX
+0.125 ZXIZIIIYIYZXIZIZ
+0.0625 IYYZXZYIXYYZZXII
+"""
+
 
 def _case(*argv, files=None, outs=(), then=()):
     """One `main()` run, followed by the runs in `then` in the same directory;
@@ -164,6 +189,14 @@ CASES = {
         "diag", "bacon.txt", "--k", "3", "--algorithm", "random", "--seed", "2",
         files={"bacon.txt": BACON},
     ),
+    "diag_dense_full": _case("diag", "d.txt", "--k", "16", files={"d.txt": DENSE16}),
+    "diag_dense_blocks": _case(
+        "diag", "d.txt", "--blocks", "4,4,8", files={"d.txt": DENSE16}
+    ),
+    "sweep_circuits_random": _case(
+        "gen", "random", "--n", "12", "--w", "4", "--seed", "5", "--out", "r.txt",
+        then=[("sweep", "r.txt", "--with-circuits", "--jobs", "1")],
+    ),
     # error lines
     "error_group_no_seed": _case(
         "group", "mixed.txt", "--k", "2", "--algorithm", "random", files=_M
@@ -185,6 +218,17 @@ CASES = {
     "error_missing_file": _case("group", "absent.txt", "--k", "1"),
     "error_group_index": _case(
         "diag", "mixed.txt", "--k", "3", "--group-index", "99", files=_M
+    ),
+    # widths past sys.maxsize, rejected before any mask or list is built
+    "error_index_overflow": _case(
+        "group", "big.txt", "--k", "1", files={"big.txt": f"1.0 X{HUGE}\n"}
+    ),
+    "error_width_overflow": _case(
+        "group", "wide.txt", "--k", "1", files={"wide.txt": f"qubits: {HUGE}\n1.0 X0\n"}
+    ),
+    "error_blocks_overflow": _case("group", "mixed.txt", "--blocks", HUGE, files=_M),
+    "error_ks_overflow": _case(
+        "sweep", "mixed.txt", "--ks", f"1..{HUGE}", "--jobs", "1", files=_M
     ),
 }
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import sys
 
 import pytest
 
@@ -278,6 +279,22 @@ class TestFiles:
         h = load_hamiltonian(path)
         assert h.n_qubits == 99999999999
         assert [(t.pauli.x_bits, t.pauli.z_bits) for t in h.terms] == [(1, 0)]
+
+    def test_width_of_sys_maxsize_loads(self, tmp_path):
+        path = tmp_path / "h.txt"
+        path.write_text(f"qubits: {sys.maxsize}\n1.0 X0\n")
+        assert load_hamiltonian(path).n_qubits == sys.maxsize
+
+    @pytest.mark.parametrize(
+        "text",
+        [f"# top\nqubits: {sys.maxsize + 1}\n1.0 X0\n", f"# top\n1.0 X{sys.maxsize}\n"],
+        ids=["header", "sparse-index"],
+    )
+    def test_width_past_sys_maxsize_reports_number(self, tmp_path, text):
+        path = tmp_path / "h.txt"
+        path.write_text(text)
+        with pytest.raises(HamiltonianFileError, match="line 2: .*sys.maxsize"):
+            load_hamiltonian(path)
 
     def test_inconsistent_dense_lengths(self, tmp_path):
         path = tmp_path / "h.txt"
