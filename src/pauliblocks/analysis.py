@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import math
 import statistics
+import sys
 from collections import Counter
 from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Sequence
 
-from .clifford import circuit_depth, diagonalize_group, per_block_circuits
+from .clifford import _block_gate_lists, _depth
 from .grouping import _insertion, _terms
 from .hamiltonians import Hamiltonian
 from .paulis import BlockSpec, PauliString, block_commutes_all, restrict
@@ -94,10 +95,9 @@ def _sweep_cell(args) -> SweepRow:
         gates = depth = 0
         for group in grouping.groups:
             members = [PauliString(t.n_qubits, t.xs[i], t.zs[i]) for i in group]
-            circuit = diagonalize_group(members, blocks)
-            for sub in per_block_circuits(circuit, blocks):
-                gates = max(gates, sub.gate_count)
-                depth = max(depth, circuit_depth(sub))
+            for block_gates in _block_gate_lists(members, blocks):
+                gates = max(gates, len(block_gates))
+                depth = max(depth, _depth(block_gates))
     return SweepRow(k, grouping.num_groups, grouping.r_hat, gates, depth)
 
 
@@ -324,18 +324,22 @@ def diag_gate_lower_bound(n: int, r: int) -> float:
     r-sets and the r-sets any single circuit can diagonalize (the
     linearly independent subsets of one 2^n-element commuting subgroup);
     the denominator counts the gate choices per step. The terms add left
-    to right, the same on every Python (builtin sum() compensates from
-    3.12 on).
+    to right, m = n first, the same on every Python (builtin sum()
+    compensates from 3.12 on). From m = 53 on each term is exactly m, so
+    those terms add as one integer series, converted to float once: bit
+    for bit the term-by-term sum while the series stays below 2^53, and
+    rounded once instead of per term past it.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
+    if n > sys.maxsize:
+        raise ValueError(f"n={n} exceeds sys.maxsize")
     if not 1 <= r <= n:
         raise ValueError(f"need 1 <= r <= n, got r={r}")
-    total = 0.0
-    for m in range(n, n - r, -1):
-        # from m = 53 on, 1 + 2^m rounds to 2^m, so the term is exactly m;
-        # skip building the m-bit integer
-        total += math.log2(1 + 2**m) if m < 53 else float(m)
+    wide = max(n - r + 1, 53)  # 1 + 2^m rounds to 2^m from m = 53 on
+    total = float((wide + n) * (n - wide + 1) // 2) if wide <= n else 0.0
+    for m in range(min(n, 52), n - r, -1):
+        total += math.log2(1 + 2**m)
     return total / math.log2(n * n + n + 1)
 
 

@@ -16,6 +16,7 @@ gate that crosses a block boundary.
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 import random
 from dataclasses import dataclass
@@ -299,6 +300,31 @@ def _diagonalize_block(rows: Sequence[Sequence[int]], qubits: range) -> list[Gat
     return gates
 
 
+def _block_gate_lists(
+    members: Sequence[PauliString], blocks: BlockSpec
+) -> list[list[Gate]]:
+    """One gate list per block, by symplectic Gaussian elimination over an
+    independent generating subset of the members' restrictions to it. By
+    bilinearity the members block-commute iff each block's rows commute, so
+    the pairwise search over the members runs only when they do not."""
+    if not members:
+        raise ValueError("no members to diagonalize")
+    n = members[0].n_qubits
+    blocks.require_n(n)
+    if any(p.n_qubits != n for p in members):
+        raise ValueError("members act on different qubit counts")
+    block_rows = []
+    for (_, stop), mask in zip(blocks.spans, blocks.masks):
+        # restrictions stay at their global positions, so the gates do too
+        rows = _independent_rows(((p.x_bits & mask, p.z_bits & mask) for p in members), stop)
+        # each row lies in one block, so plain commutation (mask -1) decides
+        if not all(block_commutes_all(*row, rows[i + 1 :], (-1,)) for i, row in enumerate(rows)):
+            a, b = first_noncommuting_pair(members, blocks)
+            raise ValueError(f"members {a} and {b} do not block-commute under {blocks}")
+        block_rows.append(rows)
+    return [_diagonalize_block(rows, range(*span)) for rows, span in zip(block_rows, blocks)]
+
+
 def diagonalize_group(
     members: Sequence[PauliString], blocks: BlockSpec
 ) -> CliffordCircuit:
@@ -306,29 +332,10 @@ def diagonalize_group(
 
     Members must pairwise block-commute under `blocks` (checked up front).
     The returned circuit is a disjoint union of sub-circuits, each confined
-    to one block, produced by symplectic Gaussian elimination over an
-    independent generating subset of the members' block restrictions.
+    to one block: the gate lists of `_block_gate_lists`, joined.
     """
-    members = list(members)
-    if not members:
-        raise ValueError("no members to diagonalize")
-    n = members[0].n_qubits
-    blocks.require_n(n)
-    for p in members:
-        if p.n_qubits != n:
-            raise ValueError("members act on different qubit counts")
-    pair = first_noncommuting_pair(members, blocks)
-    if pair is not None:
-        a, b = pair
-        raise ValueError(f"members {a} and {b} do not block-commute under {blocks}")
-
-    gates: list[Gate] = []
-    for (start, stop), mask in zip(blocks.spans, blocks.masks):
-        # restrictions stay at their global positions, so the gates do too
-        restrictions = ((p.x_bits & mask, p.z_bits & mask) for p in members)
-        rows = _independent_rows(restrictions, stop)
-        gates.extend(_diagonalize_block(rows, range(start, stop)))
-    return CliffordCircuit(n, tuple(gates))
+    gates = _block_gate_lists(list(members), blocks)
+    return CliffordCircuit(blocks.n_qubits, tuple(itertools.chain(*gates)))
 
 
 def count_diagonalized(circuit: CliffordCircuit) -> int:
@@ -357,17 +364,22 @@ def count_diagonalized(circuit: CliffordCircuit) -> int:
     return sum(counts.get(v, 0) for v in from_x)
 
 
-def circuit_depth(circuit: CliffordCircuit) -> int:
+def _depth(gates: Iterable[Gate]) -> int:
     """Greedy layering depth: each gate lands in the earliest layer after
     the last layer touching any of its qubits."""
-    last = [0] * circuit.n_qubits
+    last: dict[int, int] = {}
     depth = 0
-    for gate in circuit.gates:
-        layer = 1 + max(last[q] for q in gate.qubits)
+    for gate in gates:
+        layer = 1 + max(last.get(q, 0) for q in gate.qubits)
         for q in gate.qubits:
             last[q] = layer
         depth = max(depth, layer)
     return depth
+
+
+def circuit_depth(circuit: CliffordCircuit) -> int:
+    """Greedy layering depth of the circuit's gates (see `_depth`)."""
+    return _depth(circuit.gates)
 
 
 def per_block_circuits(

@@ -152,6 +152,8 @@ def bacon_shor(
     if ordering not in ("column_major", "row_major"):
         raise ValueError(f"unknown ordering {ordering!r}")
     n = rows * cols
+    if n > sys.maxsize:
+        raise ValueError(f"a {rows}x{cols} lattice has {n} qubits, more than sys.maxsize")
 
     def index(r: int, c: int) -> int:
         if ordering == "column_major":
@@ -230,6 +232,8 @@ def random_hamiltonian(n: int, w: float, seed: int) -> Hamiltonian:
     """
     if n < 1:
         raise ValueError("n must be positive")
+    if n > sys.maxsize:
+        raise ValueError(f"qubit count {n} exceeds sys.maxsize")
     if not 0 < w < math.inf:
         raise ValueError(f"mean weight w must be positive and finite, got {w}")
     rng = random.Random(seed)

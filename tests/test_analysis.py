@@ -8,6 +8,7 @@ import itertools
 import math
 import operator
 import random
+import sys
 
 import mpmath
 import pytest
@@ -20,10 +21,12 @@ from pauliblocks import (
     SweepRow,
     Term,
     bacon_shor,
+    circuit_depth,
     count_block_commuting,
     count_independent_commuting_sets,
     count_linearly_independent_sets,
     diag_gate_lower_bound,
+    diagonalize_group,
     enumerate_block_commuting,
     find_k_star,
     hardcore_boson_1d,
@@ -32,11 +35,15 @@ from pauliblocks import (
     max_set_size_check,
     min_circuit_depth,
     parse_pauli,
+    per_block_circuits,
     random_hamiltonian,
+    random_insertion,
     restrict,
+    sorted_insertion,
     tfim,
 )
 from pauliblocks import analysis as analysis_module
+from pauliblocks import clifford as clifford_module
 from pauliblocks import grouping as grouping_module
 
 
@@ -236,6 +243,36 @@ class TestGateBound:
         assert diag_gate_lower_bound(20, 20) == 24.232778599479886
         assert diag_gate_lower_bound(128, 128) == 589.327535985073
 
+    @staticmethod
+    def term_by_term(n, r):
+        """The bound as one float loop over every term, widest first: the
+        reference for the integer series that replaces the wide terms."""
+        total = 0.0
+        for m in range(n, n - r, -1):
+            total += math.log2(1 + 2**m) if m < 53 else float(m)
+        return total / math.log2(n * n + n + 1)
+
+    def test_matches_term_by_term_loop_bit_for_bit(self):
+        for n in range(2, 201):
+            for r in range(1, n + 1):
+                expected = self.term_by_term(n, r).hex()
+                assert diag_gate_lower_bound(n, r).hex() == expected, (n, r)
+
+    def test_wide_series_rounds_once(self):
+        n = 10**12
+        wide = (53 + n) * (n - 52) // 2  # every term from m = 53 to n
+        narrow = functools.reduce(
+            operator.add, (math.log2(1 + 2**m) for m in range(52, 0, -1)), float(wide)
+        )
+        assert diag_gate_lower_bound(n, n) == narrow / math.log2(n * n + n + 1)
+
+    def test_rejects_n_past_sys_maxsize(self):
+        for n in (sys.maxsize + 1, 10**400):
+            with pytest.raises(ValueError, match=f"n={n} exceeds sys.maxsize"):
+                diag_gate_lower_bound(n, 1)
+        n = sys.maxsize
+        assert diag_gate_lower_bound(n, 1) == float(n) / math.log2(n * n + n + 1)
+
     def test_wide_terms_are_exact_integers(self):
         # why the bound may skip 2^m from m = 53 on
         assert all(math.log2(1 + 2**m) == float(m) for m in range(53, 5000))
@@ -295,6 +332,57 @@ class TestSweep:
             assert row.max_block_circuit_gates is not None
             assert row.max_block_circuit_depth is not None
             assert row.max_block_circuit_gates >= row.max_block_circuit_depth >= 0
+
+    @staticmethod
+    def round_trip_rows(h, ks, algorithm, seed):
+        """The circuit columns by way of whole circuits: diagonalize each
+        group, split the circuit per block, then count and layer each part."""
+        rows = []
+        for k in ks:
+            blocks = BlockSpec.uniform(k, h.n_qubits)
+            grouping = (
+                sorted_insertion(h, blocks)
+                if algorithm == "sorted"
+                else random_insertion(h, blocks, seed)
+            )
+            gates = depth = 0
+            paulis = h.paulis()
+            for group in grouping.groups:
+                circuit = diagonalize_group([paulis[i] for i in group], blocks)
+                for sub in per_block_circuits(circuit, blocks):
+                    gates = max(gates, sub.gate_count)
+                    depth = max(depth, circuit_depth(sub))
+            rows.append(SweepRow(k, grouping.num_groups, grouping.r_hat, gates, depth))
+        return rows
+
+    @pytest.mark.parametrize(
+        "h",
+        [bacon_shor(3, 4), tfim(7, g=0.5), hardcore_boson_1d(6),
+         random_hamiltonian(10, 2.0, seed=4)],
+        ids=["bacon-shor", "tfim", "hardcore-boson", "random"],
+    )
+    @pytest.mark.parametrize("algorithm, seed", [("sorted", None), ("random", 6)])
+    def test_circuit_columns_match_whole_circuit_round_trip(self, h, algorithm, seed):
+        ks = range(1, h.n_qubits + 1)
+        expected = self.round_trip_rows(h, ks, algorithm, seed)
+        for jobs in (1, 2):
+            rows = k_sweep(
+                h, ks, algorithm=algorithm, seed=seed, with_circuits=True, jobs=jobs
+            )
+            assert rows == expected, jobs
+
+    def test_circuits_need_no_pair_search_or_split(self, monkeypatch):
+        # the sweep reads each block's gate list as synthesis builds it, and
+        # searches the members for a failing pair only when a block fails
+        def refuse(*args):
+            raise AssertionError("called on the success path")
+
+        h = random_hamiltonian(12, 3.0, seed=2)
+        expected = self.round_trip_rows(h, range(1, 13), "sorted", None)
+        monkeypatch.setattr(clifford_module, "first_noncommuting_pair", refuse)
+        monkeypatch.setattr(clifford_module, "per_block_circuits", refuse)
+        monkeypatch.setattr(analysis_module, "per_block_circuits", refuse, raising=False)
+        assert k_sweep(h, range(1, 13), with_circuits=True, jobs=1) == expected
 
     def test_parallel_matches_serial(self):
         h = random_hamiltonian(10, 2.0, seed=5)

@@ -268,6 +268,27 @@ class TestKstarBoundDiag:
     def test_bound_rejects_bad_r(self, capsys):
         assert run_cli("bound", "--n", "2", "--r", "3") == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bound", "--n", str(sys.maxsize + 1), "--r", "1"],
+            ["bound", "--n", "1" + "0" * 400, "--r", "1"],
+            ["bound", "--n", "9" * 23, "--r", "9" * 23],
+            ["gen", "random", "--n", "9" * 23, "--seed", "1"],
+            ["gen", "bacon-shor", "--rows", "9" * 23, "--cols", "2"],
+            ["kstar", "random", "--sizes", "9" * 23, "--seed", "1", "--seeds", "1",
+             "--jobs", "1"],
+        ],
+        ids=["bound-maxsize", "bound-1e400", "bound-huge-r", "gen-random",
+             "gen-bacon-shor", "kstar-random"],
+    )
+    def test_width_past_sys_maxsize_is_one_error_line(self, capsys, argv):
+        assert run_cli(*argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "sys.maxsize" in err
+
     def test_diag_writes_verified_block_local_circuit(self, tmp_path, capsys):
         path = tmp_path / "h.txt"
         path.write_text("qubits: 4\n1.0 XXXX\n1.0 ZZZZ\n")

@@ -228,6 +228,38 @@ class TestDiagonalizeGroup:
                 [parse_pauli("X", 1), parse_pauli("Z", 1)], BlockSpec.uniform(1, 1)
             )
 
+    @pytest.mark.parametrize(
+        "dense, message",
+        [
+            # block 0 commutes; only block 1 holds the failing pair
+            (["XXII", "ZZXI", "IIZI"], "members 1 and 2 do not block-commute under BlockSpec((2, 2))"),
+            # XZ is the product of XI and IZ: three members, two independent rows
+            (["XZ", "XI", "IZ", "ZZ"], "members 0 and 3 do not block-commute under BlockSpec((2,))"),
+        ],
+        ids=["later-block", "dependent-members"],
+    )
+    def test_error_names_the_first_failing_pair(self, dense, message):
+        members = [parse_pauli(text, len(text)) for text in dense]
+        blocks = BlockSpec.uniform(2, len(dense[0]))
+        with pytest.raises(ValueError) as caught:
+            diagonalize_group(members, blocks)
+        assert str(caught.value) == message
+
+    def test_commuting_members_need_no_pair_search_or_split(self, monkeypatch):
+        # commutation is checked on each block's independent rows; the
+        # pairwise search over the members runs only once that check fails
+        rng = random.Random(11)
+        blocks = BlockSpec((3, 5, 4))
+        members = random_block_commuting_set(rng, blocks, 24)
+        expected = reference_gates(members, blocks)
+
+        def refuse(*args):
+            raise AssertionError("called on the success path")
+
+        monkeypatch.setattr(clifford, "first_noncommuting_pair", refuse)
+        monkeypatch.setattr(clifford, "per_block_circuits", refuse)
+        assert diagonalize_group(members, blocks).gates == expected
+
     def test_rejects_empty_and_mismatched(self):
         with pytest.raises(ValueError):
             diagonalize_group([], BlockSpec.uniform(1, 1))

@@ -180,6 +180,8 @@ CASES = {
     # long enough that a compensated sum (builtin sum() from 3.12 on)
     # would print different digits
     "bound_wide": _case("bound", "--n", "128", "--r", "128"),
+    # the terms from m = 53 on add as one integer series, not one by one
+    "bound_huge": _case("bound", "--n", "1000000000000", "--r", "1000000000000"),
     "diag_stdout": _case("diag", "mixed.txt", "--k", "3", files=_M),
     "diag_out": _case(
         "diag", "mixed.txt", "--blocks", "2,4", "--group-index", "1", "--out", "c.txt",
@@ -229,6 +231,13 @@ CASES = {
     "error_blocks_overflow": _case("group", "mixed.txt", "--blocks", HUGE, files=_M),
     "error_ks_overflow": _case(
         "sweep", "mixed.txt", "--ks", f"1..{HUGE}", "--jobs", "1", files=_M
+    ),
+    "error_gen_random_overflow": _case("gen", "random", "--n", HUGE, "--seed", "1"),
+    "error_gen_bacon_shor_overflow": _case(
+        "gen", "bacon-shor", "--rows", HUGE, "--cols", "2"
+    ),
+    "error_kstar_overflow": _case(
+        "kstar", "random", "--sizes", HUGE, "--seed", "1", "--seeds", "1", "--jobs", "1"
     ),
 }
 

@@ -90,6 +90,12 @@ class TestBaconShor:
         with pytest.raises(ValueError):
             bacon_shor(2, 2, "diagonal")
 
+    @pytest.mark.parametrize("rows, cols", [(sys.maxsize, 2), (2, sys.maxsize), (10**23, 2)])
+    def test_width_past_sys_maxsize_names_it(self, rows, cols):
+        # checked before a mask as wide as the lattice is built
+        with pytest.raises(ValueError, match=f"has {rows * cols} qubits, more than sys.maxsize"):
+            bacon_shor(rows, cols)
+
 
 class TestTfim:
     def test_3_sites(self):
@@ -185,6 +191,12 @@ class TestRandomHamiltonian:
         for w in (0.0, -1.0, float("inf"), float("nan")):
             with pytest.raises(ValueError):
                 random_hamiltonian(4, w, seed=0)
+
+    @pytest.mark.parametrize("n", [sys.maxsize + 1, 10**23])
+    def test_width_past_sys_maxsize_names_it(self, n):
+        # checked before range(n) is sampled
+        with pytest.raises(ValueError, match=f"qubit count {n} exceeds sys.maxsize"):
+            random_hamiltonian(n, 2.0, seed=0)
 
 
 class TestFiles:
