@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Sequence
 
 from .clifford import _block_gate_lists, _depth
-from .grouping import _insertion, _terms
+from .grouping import _insertion, _relation_classes, _terms
 from .hamiltonians import Hamiltonian
 from .paulis import BlockSpec, PauliString, block_commutes_all, restrict
 
@@ -78,6 +78,8 @@ def _map(fn: Callable, items: list, jobs: int) -> list:
     there are items: under fork the pool starts all of them up front. The
     pool is imported only here: importing it loads multiprocessing, which
     serial runs need not."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     if jobs > 1 and len(items) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -86,19 +88,23 @@ def _map(fn: Callable, items: list, jobs: int) -> list:
     return [fn(item) for item in items]
 
 
-def _sweep_cell(args) -> SweepRow:
-    t, k, algorithm, seed, with_circuits = args
-    blocks = BlockSpec.uniform(k, t.n_qubits)
-    grouping = _insertion(t, blocks, algorithm, seed)
-    gates = depth = None
-    if with_circuits:
-        gates = depth = 0
-        for group in grouping.groups:
-            members = [PauliString(t.n_qubits, t.xs[i], t.zs[i]) for i in group]
-            for block_gates in _block_gate_lists(members, blocks):
-                gates = max(gates, len(block_gates))
-                depth = max(depth, _depth(block_gates))
-    return SweepRow(k, grouping.num_groups, grouping.r_hat, gates, depth)
+def _sweep_cell(args) -> list[SweepRow]:
+    t, ks, algorithm, seed, with_circuits = args
+    # the ks of one class share a relation, so one grouping serves them all
+    grouping = _insertion(t, BlockSpec.uniform(ks[0], t.n_qubits), algorithm, seed)
+    rows = []
+    for k in ks:
+        gates = depth = None
+        if with_circuits:
+            blocks = BlockSpec.uniform(k, t.n_qubits)
+            gates = depth = 0
+            for group in grouping.groups:
+                members = [PauliString(t.n_qubits, t.xs[i], t.zs[i]) for i in group]
+                for block_gates in _block_gate_lists(members, blocks):
+                    gates = max(gates, len(block_gates))
+                    depth = max(depth, _depth(block_gates))
+        rows.append(SweepRow(k, grouping.num_groups, grouping.r_hat, gates, depth))
+    return rows
 
 
 def k_sweep(
@@ -110,13 +116,16 @@ def k_sweep(
     with_circuits: bool = False,
     jobs: int = 1,
 ) -> list[SweepRow]:
-    """One grouping per block size, each computed independently.
+    """One grouping per block size, computed once per class of block sizes
+    under which every pair of terms block-commutes alike.
 
-    Rows come back ordered by k. When `with_circuits` is set, each row also
-    reports the largest per-block diagonalization sub-circuit (gate count
-    and greedy-layering depth) over that row's groups. `jobs` > 1 farms the
-    k values out to worker processes; the merge order is by k regardless of
-    scheduling.
+    Block sizes of one class give identical groups, so first fit runs once
+    per class, at the class's smallest k. Rows come back ordered by k. When
+    `with_circuits` is set, each row also reports the largest per-block
+    diagonalization sub-circuit (gate count and greedy-layering depth) over
+    that row's groups, synthesized under that row's own blocks. `jobs` > 1
+    farms the classes out to worker processes; the merge order is by k
+    regardless of scheduling.
     """
     ks = sorted(set(int(k) for k in ks))
     if not ks:
@@ -125,8 +134,10 @@ def k_sweep(
         if not 1 <= k <= h.n_qubits:
             raise ValueError(f"block size {k} out of range [1, {h.n_qubits}]")
     t = _terms(h)  # built once, shared by every k
-    tasks = [(t, k, algorithm, seed, with_circuits) for k in ks]
-    return _map(_sweep_cell, tasks, jobs)
+    classes = _relation_classes(t, ks)
+    tasks = [(t, cls, algorithm, seed, with_circuits) for cls in classes]
+    rows = [row for cell in _map(_sweep_cell, tasks, jobs) for row in cell]
+    return sorted(rows, key=lambda row: row.k)
 
 
 def find_k_star(rows: Sequence[SweepRow], rel_tol: float = 1e-9) -> KStarResult:

@@ -94,6 +94,53 @@ def _terms(h: Hamiltonian) -> _Terms:
     return _Terms(h.n_qubits, xs, zs, order, scaled, numerator)
 
 
+def _relation_classes(t: _Terms, ks: Sequence[int]) -> list[list[int]]:
+    """Split the uniform block sizes ks into classes under which every pair
+    of terms block-commutes alike, each class in the order of ks.
+
+    A pair that anticommutes on no position, or on an odd number of them,
+    block-commutes the same way under every partition. A pair that
+    anticommutes on an even number block-commutes when every block holds an
+    even number of those positions. So for each term p, only the qubits
+    where p anticommutes with such an "even" partner matter, and only
+    whether each consecutive two of them (a cut) share a block. Block sizes
+    that keep the same cuts together share a relation, so first fit, sorted
+    or seeded random, groups the terms identically under each of them.
+    """
+    xcol: dict[int, int] = {}  # qubit -> mask over the terms with an x bit there
+    zcol: dict[int, int] = {}
+    for i, (x, z) in enumerate(zip(t.xs, t.zs)):
+        for col, bits in ((xcol, x), (zcol, z)):
+            while bits:
+                low = bits & -bits
+                q = low.bit_length() - 1
+                col[q] = col.get(q, 0) | (1 << i)
+                bits ^= low
+    cuts: set[tuple[int, int]] = set()
+    for x, z in zip(t.xs, t.zs):
+        anti = []  # (qubit, mask over the terms anticommuting with p there)
+        hit = odd = 0
+        bits = x | z
+        while bits:
+            low = bits & -bits
+            q = low.bit_length() - 1
+            a = (zcol.get(q, 0) if x & low else 0) ^ (xcol.get(q, 0) if z & low else 0)
+            anti.append((q, a))
+            hit |= a
+            odd ^= a
+            bits ^= low
+        even = hit & ~odd
+        if even:
+            qs = [q for q, a in anti if a & even]
+            cuts.update(zip(qs, qs[1:]))
+    ordered = sorted(cuts)
+    classes: dict[tuple[bool, ...], list[int]] = {}
+    for k in ks:
+        key = tuple(a // k == b // k for a, b in ordered)
+        classes.setdefault(key, []).append(k)
+    return list(classes.values())
+
+
 def _r_hat_of_groups(t: _Terms, groups: Sequence[Sequence[int]]) -> float:
     if not groups:
         raise ValueError("empty grouping")

@@ -176,11 +176,17 @@ def bacon_shor(
     return Hamiltonian(n, tuple(Term(c, p) for c, p in raw))
 
 
+def _require_chain(n: int) -> None:
+    if n < 2:
+        raise ValueError(f"chain needs at least 2 sites, got {n}")
+    if n > sys.maxsize:
+        raise ValueError(f"chain length {n} exceeds sys.maxsize")
+
+
 def tfim(n: int, j: float = 1.0, g: float = 1.0) -> Hamiltonian:
     """Open-boundary transverse-field Ising chain:
     j * sum ZZ on adjacent pairs + g * sum X on every site."""
-    if n < 2:
-        raise ValueError(f"chain needs at least 2 sites, got {n}")
+    _require_chain(n)
     raw: list[tuple[float, PauliString]] = []
     if j != 0.0:
         for i in range(n - 1):
@@ -201,8 +207,7 @@ def hardcore_boson_1d(n: int, t: float = 2.0, g: float = 1.0) -> Hamiltonian:
     2g per site, which is recorded on the Hamiltonian offset rather than
     as identity terms.
     """
-    if n < 2:
-        raise ValueError(f"chain needs at least 2 sites, got {n}")
+    _require_chain(n)
     raw: list[tuple[float, PauliString]] = []
     if t != 0.0:
         for i in range(n - 1):

@@ -30,6 +30,7 @@ from pauliblocks import (
     enumerate_block_commuting,
     find_k_star,
     hardcore_boson_1d,
+    k_commutes,
     k_star_scaling,
     k_sweep,
     max_set_size_check,
@@ -325,6 +326,9 @@ class TestSweep:
             k_sweep(h, [1], algorithm="random")  # missing seed
         with pytest.raises(ValueError):
             k_sweep(h, [1], algorithm="mystery")
+        for jobs in (0, -5):
+            with pytest.raises(ValueError, match=f"jobs must be at least 1, got {jobs}"):
+                k_sweep(h, [1, 2], jobs=jobs)
 
     def test_with_circuits_populates_block_columns(self):
         rows = k_sweep(bacon_shor(3, 3), [1, 3, 9], with_circuits=True)
@@ -411,10 +415,18 @@ class TestSweep:
                 return map(fn, items)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        h = tfim(6)
+        # a sweep's cells are its classes of block sizes; in the hardcore-boson
+        # chain every k is a class of its own
+        h = hardcore_boson_1d(6)
+        assert classes_of(h, range(1, 7)) == [[k] for k in range(1, 7)]
         assert k_sweep(h, [1, 2], jobs=64) == k_sweep(h, [1, 2], jobs=1)
         assert k_sweep(h, range(1, 7), jobs=3) == k_sweep(h, range(1, 7), jobs=1)
         assert k_star_scaling(tfim, [4, 5, 6], jobs=8) == k_star_scaling(tfim, [4, 5, 6])
+        assert started == [2, 3, 3]
+        # in the tfim chain every k shares one class: one cell, so no pool
+        h = tfim(6)
+        assert classes_of(h, range(1, 7)) == [list(range(1, 7))]
+        assert k_sweep(h, range(1, 7), jobs=3) == k_sweep(h, range(1, 7), jobs=1)
         assert started == [2, 3, 3]
 
     def test_rows_to_json_drop_absent_columns(self):
@@ -455,6 +467,121 @@ class TestSweep:
         h = random_hamiltonian(8, 2.0, seed=0)
         rows = k_sweep(h, [1, 2, 4], algorithm="random", seed=3)
         assert rows == k_sweep(h, [1, 2, 4], algorithm="random", seed=3)
+
+
+def classes_of(h, ks):
+    return grouping_module._relation_classes(grouping_module._terms(h), ks)
+
+
+# every family, and random instances with light (w = 2) and heavy (w = n/2)
+# terms; between them they have classes of one k, of several ks, of all ks,
+# and a class that is not a run of consecutive ks
+SWEEP_CORPUS = {
+    "bacon-shor": bacon_shor(3, 4),
+    "tfim": tfim(7, g=0.5),
+    "hardcore-boson": hardcore_boson_1d(6),
+    "random-w2": random_hamiltonian(12, 2.0, seed=7),
+    "random-w6": random_hamiltonian(12, 6.0, seed=7),
+}
+
+
+class TestRelationClasses:
+    @staticmethod
+    def independent_rows(h, ks, algorithm, seed, with_circuits):
+        """The sweep with nothing shared across k: its own first fit at every
+        k, and with circuits the whole-circuit round trip."""
+        if with_circuits:
+            return TestSweep.round_trip_rows(h, ks, algorithm, seed)
+        t = grouping_module._terms(h)
+        rows = []
+        for k in ks:
+            blocks = BlockSpec.uniform(k, h.n_qubits)
+            grouping = grouping_module._insertion(t, blocks, algorithm, seed)
+            rows.append(SweepRow(k, grouping.num_groups, grouping.r_hat))
+        return rows
+
+    @pytest.mark.parametrize("name", list(SWEEP_CORPUS))
+    @pytest.mark.parametrize("algorithm, seed", [("sorted", None), ("random", 6)])
+    def test_sweep_matches_independent_grouping_at_every_k(self, name, algorithm, seed):
+        h = SWEEP_CORPUS[name]
+        ks = range(1, h.n_qubits + 1)
+        for with_circuits in (False, True):
+            expected = self.independent_rows(h, ks, algorithm, seed, with_circuits)
+            for jobs in (1, 2):
+                rows = k_sweep(
+                    h, ks, algorithm=algorithm, seed=seed,
+                    with_circuits=with_circuits, jobs=jobs,
+                )
+                assert rows == expected, (with_circuits, jobs)
+
+    def test_corpus_has_every_kind_of_class(self):
+        sizes = set()
+        for h in SWEEP_CORPUS.values():
+            classes = classes_of(h, range(1, h.n_qubits + 1))
+            sizes.update(len(c) for c in classes)
+            assert sorted(k for c in classes for k in c) == list(range(1, h.n_qubits + 1))
+        assert 1 in sizes and max(sizes) > 1
+        assert classes_of(SWEEP_CORPUS["random-w6"], range(1, 13)) == [
+            [1, 3, 9], [2, 4, 5, 6, 7, 8, 10, 11, 12]
+        ]
+
+    @pytest.mark.parametrize("name", list(SWEEP_CORPUS))
+    def test_one_class_shares_one_relation_and_one_grouping(self, name):
+        h = SWEEP_CORPUS[name]
+        t = grouping_module._terms(h)
+        paulis = h.paulis()
+        pairs = list(itertools.combinations(paulis, 2))
+        for cls in classes_of(h, range(1, h.n_qubits + 1)):
+            relations = set()
+            groups = set()
+            for k in cls:
+                blocks = BlockSpec.uniform(k, h.n_qubits)
+                relations.add(tuple(k_commutes(p, q, blocks) for p, q in pairs))
+                for algorithm, seed in (("sorted", None), ("random", 6)):
+                    grouping = grouping_module._insertion(t, blocks, algorithm, seed)
+                    groups.add((algorithm, grouping.groups))
+            assert len(relations) == 1, cls
+            assert len(groups) == 2, cls
+
+    def test_tfim_groups_once(self, monkeypatch):
+        calls = []  # the block sizes of every grouping run
+
+        def counting(t, blocks, algorithm, seed):
+            calls.append(blocks.sizes)
+            return real(t, blocks, algorithm, seed)
+
+        real = analysis_module._insertion
+        monkeypatch.setattr(analysis_module, "_insertion", counting)
+        rows = k_sweep(tfim(8), range(1, 9), jobs=1)
+        assert len(calls) == 1
+        assert [r.k for r in rows] == list(range(1, 9))
+
+    @pytest.mark.parametrize(
+        "qubits, classes",
+        [((1, 2), [[1, 2], [3, 4]]), ((0, 1), [[1], [2, 3, 4]]),
+         ((2, 3), [[1, 3], [2, 4]]), ((0, 3), [[1, 2, 3], [4]]),
+         ((1, 3), [[1, 2, 3], [4]])],
+    )
+    def test_even_pair_splits_where_blocks_separate_it(self, qubits, classes):
+        # X and Z on the same two qubits anticommute on exactly those two
+        bits = (1 << qubits[0]) | (1 << qubits[1])
+        h = Hamiltonian(
+            4, (Term(1.0, PauliString(4, bits, 0)), Term(0.5, PauliString(4, 0, bits)))
+        )
+        assert classes_of(h, range(1, 5)) == classes
+        for row in k_sweep(h, range(1, 5), jobs=1):
+            together = qubits[0] // row.k == qubits[1] // row.k
+            assert row.num_groups == (1 if together else 2)
+
+    def test_odd_and_disjoint_pairs_never_split(self):
+        # anticommuting on one or three positions, or on none, is the same
+        # under every partition
+        h = Hamiltonian(4, tuple(
+            Term(c, parse_pauli(s, 4))
+            for c, s in [(1.0, "XXXI"), (0.5, "ZZZI"), (0.25, "IIIX"), (0.125, "ZIII")]
+        ))
+        assert classes_of(h, range(1, 5)) == [[1, 2, 3, 4]]
+        assert classes_of(h, [3, 1]) == [[3, 1]]
 
 
 class TestKStar:
@@ -542,3 +669,6 @@ class TestScaling:
             k_star_scaling(lambda n: tfim(n), [])
         with pytest.raises(ValueError):
             k_star_scaling(lambda n, s: random_hamiltonian(n, 2.0, s), [4], seeds=[])
+        for jobs in (0, -5):
+            with pytest.raises(ValueError, match=f"jobs must be at least 1, got {jobs}"):
+                k_star_scaling(tfim, [4], jobs=jobs)

@@ -199,6 +199,24 @@ CASES = {
         "gen", "random", "--n", "12", "--w", "4", "--seed", "5", "--out", "r.txt",
         then=[("sweep", "r.txt", "--with-circuits", "--jobs", "1")],
     ),
+    # block sizes that all share one commutation relation (tfim), that each
+    # have their own (hardcore-boson), and a pooled scan of random instances
+    "sweep_tfim_all_k": _case(
+        "gen", "tfim", "--n", "9", "--j", "0.5", "--g", "-1.5", "--out", "t.txt",
+        then=[
+            ("sweep", "t.txt", "--jobs", "1"),
+            ("sweep", "t.txt", "--with-circuits", "--format", "json", "--jobs", "1"),
+            ("sweep", "t.txt", "--algorithm", "random", "--seed", "3", "--jobs", "2"),
+        ],
+    ),
+    "sweep_hardcore_boson_circuits_jobs2": _case(
+        "gen", "hardcore-boson", "--n", "7", "--t", "3", "--out", "hb.txt",
+        then=[("sweep", "hb.txt", "--with-circuits", "--jobs", "2")],
+    ),
+    "kstar_random_jobs2": _case(
+        "kstar", "random", "--sizes", "6,9,12", "--w", "2", "--seed", "21",
+        "--seeds", "5", "--jobs", "2",
+    ),
     # error lines
     "error_group_no_seed": _case(
         "group", "mixed.txt", "--k", "2", "--algorithm", "random", files=_M
@@ -239,6 +257,14 @@ CASES = {
     "error_kstar_overflow": _case(
         "kstar", "random", "--sizes", HUGE, "--seed", "1", "--seeds", "1", "--jobs", "1"
     ),
+    "error_gen_tfim_overflow": _case("gen", "tfim", "--n", HUGE),
+    "error_kstar_hardcore_boson_overflow": _case("kstar", "hardcore-boson", "--sizes", HUGE),
+    # a pool needs at least one worker
+    "error_kstar_jobs": _case(
+        "kstar", "random", "--sizes", "4", "--seed", "1", "--seeds", "2", "--jobs", "0",
+        then=[("kstar", "tfim", "--sizes", "4", "--jobs", "-5")],
+    ),
+    "error_sweep_jobs": _case("sweep", "mixed.txt", "--jobs", "0", files=_M),
 }
 
 

@@ -133,6 +133,12 @@ class TestTfim:
         with pytest.raises(ValueError):
             tfim(1)
 
+    @pytest.mark.parametrize("n", [sys.maxsize + 1, 10**23])
+    def test_width_past_sys_maxsize_names_it(self, n):
+        # checked before the first term, as wide as the chain, is built
+        with pytest.raises(ValueError, match=f"chain length {n} exceeds sys.maxsize"):
+            tfim(n)
+
 
 class TestHardcoreBoson:
     def test_two_sites(self):
@@ -153,6 +159,12 @@ class TestHardcoreBoson:
     def test_rejects_short_chain(self):
         with pytest.raises(ValueError):
             hardcore_boson_1d(1)
+
+    @pytest.mark.parametrize("n", [sys.maxsize + 1, 10**23])
+    def test_width_past_sys_maxsize_names_it(self, n):
+        # checked before the first term, as wide as the chain, is built
+        with pytest.raises(ValueError, match=f"chain length {n} exceeds sys.maxsize"):
+            hardcore_boson_1d(n)
 
 
 class TestRandomHamiltonian:
