@@ -217,6 +217,19 @@ CASES = {
         "kstar", "random", "--sizes", "6,9,12", "--w", "2", "--seed", "21",
         "--seeds", "5", "--jobs", "2",
     ),
+    # heavy random terms: many even-anticommuting pairs, so many classes of
+    # block sizes, grouped in a seeded random order on a pool
+    "sweep_random_heavy_circuits_jobs2": _case(
+        "gen", "random", "--n", "14", "--w", "7", "--seed", "4", "--out", "r.txt",
+        then=[(
+            "sweep", "r.txt", "--algorithm", "random", "--seed", "11", "--jobs", "2",
+            "--with-circuits",
+        )],
+    ),
+    "sweep_ks_list": _case(
+        "gen", "random", "--n", "14", "--w", "7", "--seed", "4", "--out", "r.txt",
+        then=[("sweep", "r.txt", "--ks", "2,5,9", "--jobs", "1")],
+    ),
     # error lines
     "error_group_no_seed": _case(
         "group", "mixed.txt", "--k", "2", "--algorithm", "random", files=_M
@@ -265,6 +278,10 @@ CASES = {
         then=[("kstar", "tfim", "--sizes", "4", "--jobs", "-5")],
     ),
     "error_sweep_jobs": _case("sweep", "mixed.txt", "--jobs", "0", files=_M),
+    # an identity-only file loads to no terms at all
+    "error_sweep_empty": _case(
+        "sweep", "empty.txt", "--jobs", "1", files={"empty.txt": "qubits: 3\n1.0 III\n"}
+    ),
 }
 
 
