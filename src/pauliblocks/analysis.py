@@ -19,7 +19,14 @@ from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Sequence
 
 from .clifford import _block_gate_lists, _depth
-from .grouping import _insertion, _relation_classes, _terms
+from .grouping import (
+    _column_fit,
+    _columns,
+    _order,
+    _r_hat_of_groups,
+    _relation_classes,
+    _terms,
+)
 from .hamiltonians import Hamiltonian
 from .paulis import BlockSpec, PauliString, block_commutes_all, restrict
 
@@ -89,21 +96,22 @@ def _map(fn: Callable, items: list, jobs: int) -> list:
 
 
 def _sweep_cell(args) -> list[SweepRow]:
-    t, ks, algorithm, seed, with_circuits = args
+    t, cols, order, ks, with_circuits = args
     # the ks of one class share a relation, so one grouping serves them all
-    grouping = _insertion(t, BlockSpec.uniform(ks[0], t.n_qubits), algorithm, seed)
+    groups = _column_fit(t, cols, order, ks[0])
+    r_hat = _r_hat_of_groups(t, groups)
     rows = []
     for k in ks:
         gates = depth = None
         if with_circuits:
             blocks = BlockSpec.uniform(k, t.n_qubits)
             gates = depth = 0
-            for group in grouping.groups:
+            for group in groups:
                 members = [PauliString(t.n_qubits, t.xs[i], t.zs[i]) for i in group]
                 for block_gates in _block_gate_lists(members, blocks):
                     gates = max(gates, len(block_gates))
                     depth = max(depth, _depth(block_gates))
-        rows.append(SweepRow(k, grouping.num_groups, grouping.r_hat, gates, depth))
+        rows.append(SweepRow(k, len(groups), r_hat, gates, depth))
     return rows
 
 
@@ -120,12 +128,19 @@ def k_sweep(
     under which every pair of terms block-commutes alike.
 
     Block sizes of one class give identical groups, so first fit runs once
-    per class, at the class's smallest k. Rows come back ordered by k. When
-    `with_circuits` is set, each row also reports the largest per-block
-    diagonalization sub-circuit (gate count and greedy-layering depth) over
-    that row's groups, synthesized under that row's own blocks. `jobs` > 1
-    farms the classes out to worker processes; the merge order is by k
-    regardless of scheduling.
+    per class, at the class's smallest k. It runs on the terms' qubit
+    columns, built once per sweep: for each qubit, masks over the terms (in
+    insertion order) of those with an x bit, a z bit, and either but not
+    both. Groups are built one at a time: each takes the first remaining
+    term, clears every term that fails to k-commute with it (the XOR of its
+    columns within each block it touches, ORed over the blocks), and takes
+    the first term left, until none is; the groups equal first fit's.
+
+    Rows come back ordered by k. When `with_circuits` is set, each row also
+    reports the largest per-block diagonalization sub-circuit (gate count
+    and greedy-layering depth) over that row's groups, synthesized under
+    that row's own blocks. `jobs` > 1 farms the classes out to worker
+    processes; the merge order is by k regardless of scheduling.
     """
     ks = sorted(set(int(k) for k in ks))
     if not ks:
@@ -134,8 +149,10 @@ def k_sweep(
         if not 1 <= k <= h.n_qubits:
             raise ValueError(f"block size {k} out of range [1, {h.n_qubits}]")
     t = _terms(h)  # built once, shared by every k
-    classes = _relation_classes(t, ks)
-    tasks = [(t, cls, algorithm, seed, with_circuits) for cls in classes]
+    order = _order(t, algorithm, seed)
+    cols = _columns(t, order)  # likewise
+    classes = _relation_classes(t, cols, ks)
+    tasks = [(t, cols, order, cls, with_circuits) for cls in classes]
     rows = [row for cell in _map(_sweep_cell, tasks, jobs) for row in cell]
     return sorted(rows, key=lambda row: row.k)
 

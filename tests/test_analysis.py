@@ -470,7 +470,8 @@ class TestSweep:
 
 
 def classes_of(h, ks):
-    return grouping_module._relation_classes(grouping_module._terms(h), ks)
+    t = grouping_module._terms(h)
+    return grouping_module._relation_classes(t, grouping_module._columns(t, t.order), ks)
 
 
 # every family, and random instances with light (w = 2) and heavy (w = n/2)
@@ -544,14 +545,14 @@ class TestRelationClasses:
             assert len(groups) == 2, cls
 
     def test_tfim_groups_once(self, monkeypatch):
-        calls = []  # the block sizes of every grouping run
+        calls = []  # the block size of every grouping run
 
-        def counting(t, blocks, algorithm, seed):
-            calls.append(blocks.sizes)
-            return real(t, blocks, algorithm, seed)
+        def counting(t, cols, order, k):
+            calls.append(k)
+            return real(t, cols, order, k)
 
-        real = analysis_module._insertion
-        monkeypatch.setattr(analysis_module, "_insertion", counting)
+        real = analysis_module._column_fit
+        monkeypatch.setattr(analysis_module, "_column_fit", counting)
         rows = k_sweep(tfim(8), range(1, 9), jobs=1)
         assert len(calls) == 1
         assert [r.k for r in rows] == list(range(1, 9))

@@ -7,6 +7,7 @@ import itertools
 import math
 import operator
 import random
+import signal
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from pauliblocks import (
     bacon_shor,
     check_grouping,
     hardcore_boson_1d,
+    k_sweep,
     parse_pauli,
     r_hat,
     random_hamiltonian,
@@ -28,6 +30,10 @@ from pauliblocks import (
     sorted_insertion,
     tfim,
 )
+from pauliblocks import analysis as analysis_module
+from pauliblocks import clifford as clifford_module
+from pauliblocks import grouping as grouping_module
+from pauliblocks import paulis as paulis_module
 
 
 def worked_example() -> Hamiltonian:
@@ -282,3 +288,88 @@ class TestValidityAndScore:
         assert d["groups"] == [[0, 1], [2], [3]]
         assert d["num_groups"] == 3
         assert d["r_hat"] == pytest.approx(g.r_hat)
+
+
+def sparse_hamiltonian(n: int, count: int, seed: int) -> Hamiltonian:
+    """`count` distinct strings of weight 1..6 on n qubits with signed
+    log-uniform coefficients, a pure function of the seed."""
+    rng = random.Random(seed)
+    terms = {}
+    while len(terms) < count:
+        x = z = 0
+        for q in rng.sample(range(n), rng.randint(1, 6)):
+            letter = rng.randrange(1, 4)  # 1 = X, 2 = Z, 3 = Y
+            x |= (letter & 1) << q
+            z |= (letter >> 1) << q
+        terms.setdefault((x, z), rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, 0.0))
+    return Hamiltonian(
+        n, tuple(Term(c, PauliString(n, x, z)) for (x, z), c in terms.items())
+    )
+
+
+# every family, random terms of weight about 1, 2 and n/2, and a large
+# sparse input with many groups
+COLUMN_FIT_CORPUS = {
+    "bacon-shor": bacon_shor(3, 4),
+    "tfim": tfim(9, 0.5, -1.5),
+    "hardcore-boson": hardcore_boson_1d(8, 3.0, 1.0),
+    "random-w1": random_hamiltonian(16, 1.0, seed=3),
+    "random-w2": random_hamiltonian(16, 2.0, seed=3),
+    "random-w8": random_hamiltonian(16, 8.0, seed=3),
+    "sparse-40x2000": sparse_hamiltonian(40, 2000, seed=5),
+}
+
+
+@pytest.fixture
+def deadline():
+    """Fail instead of hanging: a column fit that stops clearing the terms
+    it accepts never finishes."""
+
+    def expire(signum, frame):
+        raise TimeoutError("first fit did not finish within 20 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(20)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+class TestColumnFit:
+    @pytest.mark.parametrize("name", list(COLUMN_FIT_CORPUS))
+    @pytest.mark.parametrize("algorithm, seed", [("sorted", None), ("random", 6)])
+    def test_same_groups_as_first_fit_at_every_k(self, deadline, name, algorithm, seed):
+        h = COLUMN_FIT_CORPUS[name]
+        t = grouping_module._terms(h)
+        order = grouping_module._order(t, algorithm, seed)
+        cols = grouping_module._columns(t, order)
+        for k in range(1, h.n_qubits + 1):
+            blocks = BlockSpec.uniform(k, h.n_qubits)
+            expected = grouping_module._first_fit(t, blocks, order).groups
+            assert grouping_module._column_fit(t, cols, order, k) == expected, k
+
+    def test_columns_in_rank_space(self):
+        h = Hamiltonian(3, tuple(
+            Term(c, parse_pauli(s, 3)) for c, s in [(0.25, "XIZ"), (1.0, "YZI"), (0.5, "IXY")]
+        ))
+        t = grouping_module._terms(h)
+        assert t.order == [1, 2, 0]
+        # rank 0 is YZI, rank 1 IXY, rank 2 XIZ
+        assert grouping_module._columns(t, t.order) == {
+            0: (0b101, 0b001, 0b100),
+            1: (0b010, 0b001, 0b011),
+            2: (0b010, 0b110, 0b100),
+        }
+
+    def test_sweep_runs_without_the_kernel_and_group_uses_it(self, deadline, monkeypatch):
+        h = random_hamiltonian(10, 3.0, seed=2)
+        expected = k_sweep(h, range(1, 11), jobs=1)
+
+        def boom(*args):
+            raise AssertionError("block_commutes_all called")
+
+        for module in (paulis_module, grouping_module, analysis_module, clifford_module):
+            monkeypatch.setattr(module, "block_commutes_all", boom)
+        assert k_sweep(h, range(1, 11), jobs=1) == expected
+        with pytest.raises(AssertionError, match="block_commutes_all called"):
+            sorted_insertion(h, BlockSpec.uniform(2, 10))
