@@ -230,6 +230,19 @@ CASES = {
         "gen", "random", "--n", "14", "--w", "7", "--seed", "4", "--out", "r.txt",
         then=[("sweep", "r.txt", "--ks", "2,5,9", "--jobs", "1")],
     ),
+    # eight classes of block sizes, one of them [2, 5], over three workers:
+    # the class count is not a multiple of the worker count
+    "sweep_eight_classes_jobs3": _case(
+        "gen", "random", "--n", "12", "--w", "3", "--seed", "5", "--out", "r.txt",
+        then=[
+            ("sweep", "r.txt", "--jobs", "3", "--with-circuits"),
+            ("sweep", "r.txt", "--jobs", "3", "--format", "json"),
+        ],
+    ),
+    "kstar_random_jobs3": _case(
+        "kstar", "random", "--sizes", "5,8,11", "--w", "2.5", "--seed", "31",
+        "--seeds", "4", "--jobs", "3",
+    ),
     # error lines
     "error_group_no_seed": _case(
         "group", "mixed.txt", "--k", "2", "--algorithm", "random", files=_M
