@@ -20,6 +20,7 @@ from typing import Callable, Iterable, Sequence
 
 from .clifford import _block_gate_lists, _depth
 from .grouping import (
+    _anti_rows,
     _column_fit,
     _columns,
     _order,
@@ -96,23 +97,24 @@ def _map(fn: Callable, items: list, jobs: int) -> list:
 
 
 def _sweep_cell(args) -> list[SweepRow]:
-    t, cols, order, ks, with_circuits = args
-    # the ks of one class share a relation, so one grouping serves them all
-    groups = _column_fit(t, cols, order, ks[0])
-    r_hat = _r_hat_of_groups(t, groups)
-    rows = []
-    for k in ks:
-        gates = depth = None
-        if with_circuits:
-            blocks = BlockSpec.uniform(k, t.n_qubits)
-            gates = depth = 0
-            for group in groups:
-                members = [PauliString(t.n_qubits, t.xs[i], t.zs[i]) for i in group]
-                for block_gates in _block_gate_lists(members, blocks):
-                    gates = max(gates, len(block_gates))
-                    depth = max(depth, _depth(block_gates))
-        rows.append(SweepRow(k, len(groups), r_hat, gates, depth))
-    return rows
+    t, rows, order, classes, with_circuits = args
+    out = []
+    for ks in classes:
+        # the ks of one class share a relation, so one grouping serves them all
+        groups = _column_fit(rows, order, ks[0])
+        r_hat = _r_hat_of_groups(t, groups)
+        for k in ks:
+            gates = depth = None
+            if with_circuits:
+                blocks = BlockSpec.uniform(k, t.n_qubits)
+                gates = depth = 0
+                for group in groups:
+                    members = [PauliString(t.n_qubits, t.xs[i], t.zs[i]) for i in group]
+                    for block_gates in _block_gate_lists(members, blocks):
+                        gates = max(gates, len(block_gates))
+                        depth = max(depth, _depth(block_gates))
+            out.append(SweepRow(k, len(groups), r_hat, gates, depth))
+    return out
 
 
 def k_sweep(
@@ -128,19 +130,22 @@ def k_sweep(
     under which every pair of terms block-commutes alike.
 
     Block sizes of one class give identical groups, so first fit runs once
-    per class, at the class's smallest k. It runs on the terms' qubit
-    columns, built once per sweep: for each qubit, masks over the terms (in
-    insertion order) of those with an x bit, a z bit, and either but not
-    both. Groups are built one at a time: each takes the first remaining
-    term, clears every term that fails to k-commute with it (the XOR of its
-    columns within each block it touches, ORed over the blocks), and takes
-    the first term left, until none is; the groups equal first fit's.
+    per class, at the class's smallest k. It runs on one anticommutation
+    table, built once per sweep: for each term (in insertion order), masks
+    over the terms of those it anticommutes with on an odd number of qubits
+    and on a nonzero even number, and its qubit columns that hold an even
+    partner. Groups are built one at a time: each takes the first remaining
+    term, clears every term that fails to k-commute with it (its odd
+    partners, and the even ones that some block splits), and takes the
+    first term left, until none is; the groups equal first fit's.
 
     Rows come back ordered by k. When `with_circuits` is set, each row also
     reports the largest per-block diagonalization sub-circuit (gate count
     and greedy-layering depth) over that row's groups, synthesized under
-    that row's own blocks. `jobs` > 1 farms the classes out to worker
-    processes; the merge order is by k regardless of scheduling.
+    that row's own blocks. `jobs` > 1 hands each of up to `jobs` worker
+    processes one stride of the classes together with the table, so the
+    table is pickled once per worker; the merge order is by k regardless
+    of scheduling.
     """
     ks = sorted(set(int(k) for k in ks))
     if not ks:
@@ -150,11 +155,12 @@ def k_sweep(
             raise ValueError(f"block size {k} out of range [1, {h.n_qubits}]")
     t = _terms(h)  # built once, shared by every k
     order = _order(t, algorithm, seed)
-    cols = _columns(t, order)  # likewise
-    classes = _relation_classes(t, cols, ks)
-    tasks = [(t, cols, order, cls, with_circuits) for cls in classes]
-    rows = [row for cell in _map(_sweep_cell, tasks, jobs) for row in cell]
-    return sorted(rows, key=lambda row: row.k)
+    rows = _anti_rows(t, _columns(t, order), order)  # likewise
+    classes = _relation_classes(rows, ks)
+    cells = min(jobs, len(classes))
+    tasks = [(t, rows, order, classes[j::cells], with_circuits) for j in range(cells)]
+    out = [row for cell in _map(_sweep_cell, tasks, jobs) for row in cell]
+    return sorted(out, key=lambda row: row.k)
 
 
 def find_k_star(rows: Sequence[SweepRow], rel_tol: float = 1e-9) -> KStarResult:

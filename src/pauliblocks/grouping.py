@@ -133,30 +133,50 @@ def _anti(cols: _Columns, x: int, z: int) -> list[tuple[int, int]]:
     return out
 
 
-def _relation_classes(t: _Terms, cols: _Columns, ks: Sequence[int]) -> list[list[int]]:
+# per insertion rank: the terms it anticommutes with on an odd number of
+# qubits, those on a nonzero even number, and its (qubit, column) pairs whose
+# column meets the even ones, in qubit order
+_AntiRow = tuple[int, int, list[tuple[int, int]]]
+
+
+def _anti_rows(t: _Terms, cols: _Columns, order: Sequence[int]) -> list[_AntiRow]:
+    """For each insertion rank, the (odd, even, split) row of term order[r]
+    over the columns `_columns(t, order)`.
+
+    An odd partner fails to block-commute under every partition, and a
+    term that anticommutes on no position never does. Only an even partner
+    depends on the blocks, and only through the split columns: the others
+    hold no even partner. The split pairs reference the columns' own ints.
+    """
+    rows = []
+    for i in order:
+        anti = _anti(cols, t.xs[i], t.zs[i])
+        hit = odd = 0
+        for _, a in anti:
+            hit |= a
+            odd ^= a
+        even = hit & ~odd
+        rows.append((odd, even, [(q, a) for q, a in anti if a & even]))
+    return rows
+
+
+def _relation_classes(rows: Sequence[_AntiRow], ks: Sequence[int]) -> list[list[int]]:
     """Split the uniform block sizes ks into classes under which every pair
     of terms block-commutes alike, each class in the order of ks.
 
     A pair that anticommutes on no position, or on an odd number of them,
     block-commutes the same way under every partition. A pair that
     anticommutes on an even number block-commutes when every block holds an
-    even number of those positions. So for each term p, only the qubits
-    where p anticommutes with such an "even" partner matter, and only
-    whether each consecutive two of them (a cut) share a block. Block sizes
-    that keep the same cuts together share a relation, so first fit, sorted
-    or seeded random, groups the terms identically under each of them.
+    even number of those positions. So for each term, only its split qubits
+    (see `_anti_rows`) matter, and only whether each consecutive two of them
+    (a cut) share a block. Block sizes that keep the same cuts together
+    share a relation, so first fit, sorted or seeded random, groups the
+    terms identically under each of them.
     """
     cuts: set[tuple[int, int]] = set()
-    for x, z in zip(t.xs, t.zs):
-        anti = _anti(cols, x, z)
-        hit = odd = 0
-        for _, a in anti:
-            hit |= a
-            odd ^= a
-        even = hit & ~odd
-        if even:
-            qs = [q for q, a in anti if a & even]
-            cuts.update(zip(qs, qs[1:]))
+    for _, _, split in rows:
+        qs = [q for q, _ in split]
+        cuts.update(zip(qs, qs[1:]))
     ordered = sorted(cuts)
     classes: dict[tuple[bool, ...], list[int]] = {}
     for k in ks:
@@ -166,18 +186,19 @@ def _relation_classes(t: _Terms, cols: _Columns, ks: Sequence[int]) -> list[list
 
 
 def _column_fit(
-    t: _Terms, cols: _Columns, order: Sequence[int], k: int
+    rows: Sequence[_AntiRow], order: Sequence[int], k: int
 ) -> tuple[tuple[int, ...], ...]:
     """The groups `_first_fit` makes under blocks of size k, one group at a
-    time on the columns `_columns(t, order)`.
+    time on the rows `_anti_rows(t, cols, order)`.
 
     A group takes the lowest remaining rank and drops from its candidates
     every term that fails to k-commute with it, then takes the lowest
     candidate left, and so on. So a term joins group g exactly when it
     conflicts with some member of each earlier group and with no earlier
-    member of g, as in first fit. A term's conflicts are the OR over the
-    blocks it touches of the XOR of its anticommuting columns in that block:
-    O(weight) big-int operations per term, with no test per member.
+    member of g, as in first fit. A term's conflicts are its odd partners,
+    and those even partners that some block splits: the OR over blocks of
+    the XOR of its split columns in that block, masked to the even ones.
+    A term with no even partner costs O(1) big-int operations.
     """
     groups = []
     remaining = (1 << len(order)) - 1
@@ -186,18 +207,22 @@ def _column_fit(
         candidates = remaining
         while candidates:
             low = candidates & -candidates
-            i = order[low.bit_length() - 1]
-            group.append(i)
+            r = low.bit_length() - 1
+            group.append(order[r])
             remaining ^= low
-            conflicts = parity = 0
-            block = -1
-            for q, a in _anti(cols, t.xs[i], t.zs[i]):
-                if q // k != block:
-                    conflicts |= parity
-                    parity = 0
-                    block = q // k
-                parity ^= a
-            candidates &= ~(conflicts | parity | low)
+            conflicts, even, split = rows[r]
+            if even:
+                hit = parity = 0
+                block = -1
+                for q, a in split:
+                    if q // k == block:
+                        parity ^= a
+                    else:
+                        hit |= parity
+                        parity = a
+                        block = q // k
+                conflicts |= even & (hit | parity)
+            candidates &= ~(conflicts | low)
         groups.append(tuple(group))
     return tuple(groups)
 

@@ -6,8 +6,10 @@ import concurrent.futures
 import functools
 import itertools
 import math
+import multiprocessing
 import operator
 import random
+import subprocess
 import sys
 
 import mpmath
@@ -400,6 +402,7 @@ class TestSweep:
 
     def test_pool_starts_no_more_workers_than_cells(self, monkeypatch):
         started = []  # max_workers of every pool; no process is started
+        handed = []  # how many cells each pool's map got
 
         class RecordingPool:
             def __init__(self, max_workers):
@@ -412,6 +415,8 @@ class TestSweep:
                 return False
 
             def map(self, fn, items):
+                items = list(items)
+                handed.append(len(items))
                 return map(fn, items)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
@@ -428,6 +433,49 @@ class TestSweep:
         assert classes_of(h, range(1, 7)) == [list(range(1, 7))]
         assert k_sweep(h, range(1, 7), jobs=3) == k_sweep(h, range(1, 7), jobs=1)
         assert started == [2, 3, 3]
+        # each worker gets one cell, a stride of the classes: the six
+        # hardcore-boson classes go out as 3 cells at jobs=3 and 4 at jobs=4
+        assert handed == [2, 3, 3]
+        h = hardcore_boson_1d(6)
+        assert k_sweep(h, range(1, 7), jobs=4) == k_sweep(h, range(1, 7), jobs=1)
+        assert started == [2, 3, 3, 4]
+        assert handed == [2, 3, 3, 4]
+
+    def test_serial_sweep_builds_one_anticommutation_table(self, monkeypatch):
+        h = hardcore_boson_1d(6)
+        expected = k_sweep(h, range(1, 7), jobs=1)
+        built = []  # one entry per table built
+        callers = set()  # the function that called `_anti`, each time
+
+        def counting_rows(*args):
+            built.append(args)
+            return real_rows(*args)
+
+        def recording_anti(*args):
+            callers.add(sys._getframe(1).f_code.co_name)
+            return real_anti(*args)
+
+        real_rows, real_anti = grouping_module._anti_rows, grouping_module._anti
+        monkeypatch.setattr(analysis_module, "_anti_rows", counting_rows)
+        monkeypatch.setattr(grouping_module, "_anti", recording_anti)
+        assert k_sweep(h, range(1, 7), jobs=1) == expected
+        assert len(built) == 1
+        assert callers == {"_anti_rows"}
+
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_pool_matches_serial_under_start_method(self, tmp_path, method):
+        # under these start methods every cell is pickled to its worker, and
+        # a factory defined in the main script is found by name
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"{method} is not available here")
+        script = tmp_path / "pooled.py"
+        script.write_text(POOLED_SCRIPT, encoding="utf-8")
+        result = subprocess.run(
+            [sys.executable, str(script), method],
+            capture_output=True, text=True, timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == f"{method}\n"
 
     def test_rows_to_json_drop_absent_columns(self):
         assert SweepRow(2, 3, 0.5).to_json_dict() == {"k": 2, "num_groups": 3, "r_hat": 0.5}
@@ -469,9 +517,39 @@ class TestSweep:
         assert rows == k_sweep(h, [1, 2, 4], algorithm="random", seed=3)
 
 
+# run as a script: pooled sweeps and k* scans under the start method named by
+# argv[1] must equal their serial runs
+POOLED_SCRIPT = """\
+import multiprocessing
+import sys
+
+from pauliblocks import k_star_scaling, k_sweep, random_hamiltonian, tfim
+
+
+def random_w2(n, seed):
+    return random_hamiltonian(n, 2.0, seed)
+
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method(sys.argv[1])
+    h = random_hamiltonian(10, 3.0, seed=2)  # nine classes of block sizes
+    for circuits in (False, True):
+        serial = k_sweep(h, range(1, 11), with_circuits=circuits, jobs=1)
+        assert k_sweep(h, range(1, 11), with_circuits=circuits, jobs=2) == serial
+    serial = k_star_scaling(tfim, [4, 5, 6])
+    assert k_star_scaling(tfim, [4, 5, 6], jobs=2) == serial
+    serial = k_star_scaling(random_w2, [5, 6], seeds=range(3))
+    assert k_star_scaling(random_w2, [5, 6], seeds=range(3), jobs=2) == serial
+    print(multiprocessing.get_start_method())
+"""
+
+
 def classes_of(h, ks):
     t = grouping_module._terms(h)
-    return grouping_module._relation_classes(t, grouping_module._columns(t, t.order), ks)
+    cols = grouping_module._columns(t, t.order)
+    return grouping_module._relation_classes(
+        grouping_module._anti_rows(t, cols, t.order), ks
+    )
 
 
 # every family, and random instances with light (w = 2) and heavy (w = n/2)
@@ -547,9 +625,9 @@ class TestRelationClasses:
     def test_tfim_groups_once(self, monkeypatch):
         calls = []  # the block size of every grouping run
 
-        def counting(t, cols, order, k):
+        def counting(rows, order, k):
             calls.append(k)
-            return real(t, cols, order, k)
+            return real(rows, order, k)
 
         real = analysis_module._column_fit
         monkeypatch.setattr(analysis_module, "_column_fit", counting)

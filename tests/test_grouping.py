@@ -342,11 +342,11 @@ class TestColumnFit:
         h = COLUMN_FIT_CORPUS[name]
         t = grouping_module._terms(h)
         order = grouping_module._order(t, algorithm, seed)
-        cols = grouping_module._columns(t, order)
+        rows = grouping_module._anti_rows(t, grouping_module._columns(t, order), order)
         for k in range(1, h.n_qubits + 1):
             blocks = BlockSpec.uniform(k, h.n_qubits)
             expected = grouping_module._first_fit(t, blocks, order).groups
-            assert grouping_module._column_fit(t, cols, order, k) == expected, k
+            assert grouping_module._column_fit(rows, order, k) == expected, k
 
     def test_columns_in_rank_space(self):
         h = Hamiltonian(3, tuple(
@@ -360,6 +360,39 @@ class TestColumnFit:
             1: (0b010, 0b001, 0b011),
             2: (0b010, 0b110, 0b100),
         }
+
+    def test_anti_rows_in_rank_space(self):
+        # XXI and ZZI anticommute on qubits 0 and 1, an even pair; IZX
+        # anticommutes with XXI on qubit 1 and with IIZ on qubit 2, odd pairs
+        h = Hamiltonian(3, tuple(
+            Term(c, parse_pauli(s, 3))
+            for c, s in [(1.0, "XXI"), (0.5, "ZZI"), (0.25, "IIZ"), (0.125, "IZX")]
+        ))
+        t = grouping_module._terms(h)
+        assert t.order == [0, 1, 2, 3]
+        cols = grouping_module._columns(t, t.order)
+        rows = grouping_module._anti_rows(t, cols, t.order)
+        assert rows == [
+            (0b1000, 0b0010, [(0, 0b0010), (1, 0b1010)]),
+            (0b0000, 0b0001, [(0, 0b0001), (1, 0b0001)]),
+            (0b1000, 0b0000, []),
+            (0b0101, 0b0000, []),
+        ]
+        # XXI and ZZI share a group only where one block holds both qubits
+        expected = {1: ((0, 2), (1, 3)), 2: ((0, 1, 2), (3,)), 3: ((0, 1, 2), (3,))}
+        for k, groups in expected.items():
+            blocks = BlockSpec.uniform(k, 3)
+            assert grouping_module._first_fit(t, blocks, t.order).groups == groups
+            assert grouping_module._column_fit(rows, t.order, k) == groups
+
+    def test_split_pairs_hold_the_columns_own_ints(self):
+        h = COLUMN_FIT_CORPUS["sparse-40x2000"]
+        t = grouping_module._terms(h)
+        cols = grouping_module._columns(t, t.order)
+        rows = grouping_module._anti_rows(t, cols, t.order)
+        split = [(q, a) for _, _, pairs in rows for q, a in pairs]
+        assert len(split) > len(rows)
+        assert all(any(a is c for c in cols[q]) for q, a in split)
 
     def test_sweep_runs_without_the_kernel_and_group_uses_it(self, deadline, monkeypatch):
         h = random_hamiltonian(10, 3.0, seed=2)
