@@ -285,6 +285,10 @@ CASES = {
     ),
     "error_gen_tfim_overflow": _case("gen", "tfim", "--n", HUGE),
     "error_kstar_hardcore_boson_overflow": _case("kstar", "hardcore-boson", "--sizes", HUGE),
+    # every coefficient is finite, but the offset 2·g·n is past the largest float
+    "gen_hardcore_boson_offset_overflow": _case(
+        "gen", "hardcore-boson", "--n", "100", "--g", "1e307"
+    ),
     # a pool needs at least one worker
     "error_kstar_jobs": _case(
         "kstar", "random", "--sizes", "4", "--seed", "1", "--seeds", "2", "--jobs", "0",
