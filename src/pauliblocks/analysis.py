@@ -19,15 +19,7 @@ from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Sequence
 
 from .clifford import _block_gate_lists, _depth
-from .grouping import (
-    _anti_rows,
-    _column_fit,
-    _columns,
-    _order,
-    _r_hat_of_groups,
-    _relation_classes,
-    _terms,
-)
+from .grouping import _order, _sweep_groups, _terms
 from .hamiltonians import Hamiltonian
 from .paulis import BlockSpec, PauliString, block_commutes_all, restrict
 
@@ -96,25 +88,18 @@ def _map(fn: Callable, items: list, jobs: int) -> list:
     return [fn(item) for item in items]
 
 
-def _sweep_cell(args) -> list[SweepRow]:
-    t, rows, order, classes, with_circuits = args
-    out = []
-    for ks in classes:
-        # the ks of one class share a relation, so one grouping serves them all
-        groups = _column_fit(rows, order, ks[0])
-        r_hat = _r_hat_of_groups(t, groups)
-        for k in ks:
-            gates = depth = None
-            if with_circuits:
-                blocks = BlockSpec.uniform(k, t.n_qubits)
-                gates = depth = 0
-                for group in groups:
-                    members = [PauliString(t.n_qubits, t.xs[i], t.zs[i]) for i in group]
-                    for block_gates in _block_gate_lists(members, blocks):
-                        gates = max(gates, len(block_gates))
-                        depth = max(depth, _depth(block_gates))
-            out.append(SweepRow(k, len(groups), r_hat, gates, depth))
-    return out
+def _circuit_cell(args) -> tuple[int, int]:
+    """The largest per-block diagonalization sub-circuit over one k's
+    groups, synthesized under that k's blocks: (gate count, depth)."""
+    n_qubits, xs, zs, k, groups = args
+    blocks = BlockSpec.uniform(k, n_qubits)
+    gates = depth = 0
+    for group in groups:
+        members = [PauliString(n_qubits, xs[i], zs[i]) for i in group]
+        for block_gates in _block_gate_lists(members, blocks):
+            gates = max(gates, len(block_gates))
+            depth = max(depth, _depth(block_gates))
+    return gates, depth
 
 
 def k_sweep(
@@ -126,26 +111,14 @@ def k_sweep(
     with_circuits: bool = False,
     jobs: int = 1,
 ) -> list[SweepRow]:
-    """One grouping per block size, computed once per class of block sizes
-    under which every pair of terms block-commutes alike.
+    """One row per block size, ordered by k, grouped in this process by one
+    `grouping._sweep_groups` call (first fit's groups at every k).
 
-    Block sizes of one class give identical groups, so first fit runs once
-    per class, at the class's smallest k. It runs on one anticommutation
-    table, built once per sweep: for each term (in insertion order), masks
-    over the terms of those it anticommutes with on an odd number of qubits
-    and on a nonzero even number, and its qubit columns that hold an even
-    partner. Groups are built one at a time: each takes the first remaining
-    term, clears every term that fails to k-commute with it (its odd
-    partners, and the even ones that some block splits), and takes the
-    first term left, until none is; the groups equal first fit's.
-
-    Rows come back ordered by k. When `with_circuits` is set, each row also
-    reports the largest per-block diagonalization sub-circuit (gate count
-    and greedy-layering depth) over that row's groups, synthesized under
-    that row's own blocks. `jobs` > 1 hands each of up to `jobs` worker
-    processes one stride of the classes together with the table, so the
-    table is pickled once per worker; the merge order is by k regardless
-    of scheduling.
+    When `with_circuits` is set, each row also reports the largest
+    per-block diagonalization sub-circuit (gate count and greedy-layering
+    depth) over that row's groups, synthesized under that row's own blocks.
+    Only that synthesis runs on worker processes, one cell per k on up to
+    `jobs` of them; a sweep without circuits starts none.
     """
     ks = sorted(set(int(k) for k in ks))
     if not ks:
@@ -153,14 +126,16 @@ def k_sweep(
     for k in ks:
         if not 1 <= k <= h.n_qubits:
             raise ValueError(f"block size {k} out of range [1, {h.n_qubits}]")
-    t = _terms(h)  # built once, shared by every k
+    t = _terms(h)
     order = _order(t, algorithm, seed)
-    rows = _anti_rows(t, _columns(t, order), order)  # likewise
-    classes = _relation_classes(rows, ks)
-    cells = min(jobs, len(classes))
-    tasks = [(t, rows, order, classes[j::cells], with_circuits) for j in range(cells)]
-    out = [row for cell in _map(_sweep_cell, tasks, jobs) for row in cell]
-    return sorted(out, key=lambda row: row.k)
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    swept = _sweep_groups(t, order, ks)
+    if not with_circuits:
+        return [SweepRow(k, len(groups), r_hat) for k, groups, r_hat in swept]
+    cells = [(t.n_qubits, t.xs, t.zs, k, groups) for k, groups, _ in swept]
+    circuits = _map(_circuit_cell, cells, jobs)
+    return [SweepRow(k, len(g), r, *c) for (k, g, r), c in zip(swept, circuits)]
 
 
 def find_k_star(rows: Sequence[SweepRow], rel_tol: float = 1e-9) -> KStarResult:

@@ -66,7 +66,7 @@ class Grouping:
 
 class _Terms(NamedTuple):
     """What every grouping of one Hamiltonian reads, whatever its blocks:
-    a sweep builds it once and shares it across k, and across processes."""
+    a sweep builds it once and shares it across k."""
 
     n_qubits: int
     xs: list[int]  # x bitmap of each term
@@ -225,6 +225,25 @@ def _column_fit(
             candidates &= ~(conflicts | low)
         groups.append(tuple(group))
     return tuple(groups)
+
+
+def _sweep_groups(
+    t: _Terms, order: Sequence[int], ks: Sequence[int]
+) -> list[tuple[int, tuple[tuple[int, ...], ...], float]]:
+    """(k, groups, r_hat) for each uniform block size k in ks, in
+    increasing k: the groups `_first_fit` makes over `order`, and their score.
+
+    One anticommutation table serves every k, and one column fit serves
+    each class of block sizes under which every pair of terms
+    block-commutes alike.
+    """
+    rows = _anti_rows(t, _columns(t, order), order)
+    out = []
+    for ks_alike in _relation_classes(rows, ks):
+        groups = _column_fit(rows, order, ks_alike[0])
+        r_hat = _r_hat_of_groups(t, groups)
+        out.extend((k, groups, r_hat) for k in ks_alike)
+    return sorted(out, key=lambda swept: swept[0])
 
 
 def _r_hat_of_groups(t: _Terms, groups: Sequence[Sequence[int]]) -> float:

@@ -49,9 +49,9 @@ class Term:
 class Hamiltonian:
     """An ordered collection of distinct Pauli terms plus a scalar offset.
 
-    Invariants enforced at construction: every term acts on n_qubits
-    qubits, no two terms share a Pauli string, and no term is the
-    identity (identity contributions belong in `offset`).
+    Invariants enforced at construction: the offset is finite, every term
+    acts on n_qubits qubits, no two terms share a Pauli string, and no term
+    is the identity (identity contributions belong in `offset`).
     """
 
     n_qubits: int
@@ -61,6 +61,8 @@ class Hamiltonian:
     def __post_init__(self):
         if self.n_qubits < 1:
             raise ValueError("n_qubits must be positive")
+        if not math.isfinite(self.offset):
+            raise ValueError(f"offset must be finite, got {self.offset}")
         object.__setattr__(self, "terms", tuple(self.terms))
         seen = set()
         for t in self.terms:

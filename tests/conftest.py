@@ -1,10 +1,13 @@
-"""Shared test oracles and the acceptance-criteria report hook."""
+"""Shared test oracles, a deadline fixture and the acceptance-criteria
+report hook."""
 
 from __future__ import annotations
 
+import signal
 from functools import reduce
 
 import numpy as np
+import pytest
 
 from pauliblocks import CliffordCircuit, Gate, PauliString
 
@@ -58,6 +61,21 @@ def circuit_matrix(circuit: CliffordCircuit) -> np.ndarray:
 
 def equal_up_to_sign(a: np.ndarray, b: np.ndarray) -> bool:
     return np.allclose(a, b) or np.allclose(a, -b)
+
+
+@pytest.fixture
+def deadline():
+    """Fail instead of hanging: a column fit that stops clearing the terms
+    it accepts never finishes."""
+
+    def expire(signum, frame):
+        raise TimeoutError("first fit did not finish within 20 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(20)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
 
 
 # ---------------------------------------------------------------------------

@@ -297,6 +297,7 @@ class TestGateBound:
         assert min_circuit_depth(0, 4) == 0
 
 
+@pytest.mark.usefixtures("deadline")
 class TestSweep:
     def test_tfim_rows(self):
         h = tfim(8, 1.0, 1.0)
@@ -402,7 +403,7 @@ class TestSweep:
 
     def test_pool_starts_no_more_workers_than_cells(self, monkeypatch):
         started = []  # max_workers of every pool; no process is started
-        handed = []  # how many cells each pool's map got
+        handed = []  # the cells each pool's map got
 
         class RecordingPool:
             def __init__(self, max_workers):
@@ -416,30 +417,47 @@ class TestSweep:
 
             def map(self, fn, items):
                 items = list(items)
-                handed.append(len(items))
+                handed.append(items)
                 return map(fn, items)
 
+        def assert_cells_hold_only_groups(h, ks):
+            # the term bitmaps, k and k's groups, in k order: no row of the
+            # anticommutation table and no column mask
+            t = grouping_module._terms(h)
+            assert [cell[3] for cell in handed[-1]] == list(ks)
+            for n, xs, zs, k, groups in handed[-1]:
+                assert (n, xs, zs) == (h.n_qubits, t.xs, t.zs)
+                assert groups == sorted_insertion(h, BlockSpec.uniform(k, n)).groups
+
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        # a sweep's cells are its classes of block sizes; in the hardcore-boson
-        # chain every k is a class of its own
+        # grouping runs in this process at any jobs: in the hardcore-boson
+        # chain every k is a class of its own, and still no pool starts
         h = hardcore_boson_1d(6)
         assert classes_of(h, range(1, 7)) == [[k] for k in range(1, 7)]
         assert k_sweep(h, [1, 2], jobs=64) == k_sweep(h, [1, 2], jobs=1)
         assert k_sweep(h, range(1, 7), jobs=3) == k_sweep(h, range(1, 7), jobs=1)
-        assert k_star_scaling(tfim, [4, 5, 6], jobs=8) == k_star_scaling(tfim, [4, 5, 6])
-        assert started == [2, 3, 3]
-        # in the tfim chain every k shares one class: one cell, so no pool
+        assert k_sweep(h, range(1, 7), jobs=4) == k_sweep(h, range(1, 7), jobs=1)
+        assert started == []
+        # circuits go out one cell per k, on min(jobs, len(ks)) workers
+        for ks, jobs in (([1, 2], 64), (range(1, 7), 3), (range(1, 7), 4)):
+            serial = k_sweep(h, ks, with_circuits=True, jobs=1)
+            assert k_sweep(h, ks, with_circuits=True, jobs=jobs) == serial
+            assert_cells_hold_only_groups(h, ks)
+        assert started == [2, 3, 4]
+        # in the tfim chain every k shares one class, and still gets a cell
         h = tfim(6)
         assert classes_of(h, range(1, 7)) == [list(range(1, 7))]
         assert k_sweep(h, range(1, 7), jobs=3) == k_sweep(h, range(1, 7), jobs=1)
-        assert started == [2, 3, 3]
-        # each worker gets one cell, a stride of the classes: the six
-        # hardcore-boson classes go out as 3 cells at jobs=3 and 4 at jobs=4
-        assert handed == [2, 3, 3]
-        h = hardcore_boson_1d(6)
-        assert k_sweep(h, range(1, 7), jobs=4) == k_sweep(h, range(1, 7), jobs=1)
-        assert started == [2, 3, 3, 4]
-        assert handed == [2, 3, 3, 4]
+        serial = k_sweep(h, range(1, 7), with_circuits=True, jobs=1)
+        assert k_sweep(h, range(1, 7), with_circuits=True, jobs=3) == serial
+        assert_cells_hold_only_groups(h, range(1, 7))
+        assert started == [2, 3, 4, 3]
+        # one k is one cell: no pool
+        assert k_sweep(h, [2], with_circuits=True, jobs=8) == serial[1:2]
+        # a k* scan hands out one cell per instance
+        assert k_star_scaling(tfim, [4, 5, 6], jobs=8) == k_star_scaling(tfim, [4, 5, 6])
+        assert started == [2, 3, 4, 3, 3]
+        assert [len(cells) for cells in handed] == [2, 6, 6, 6, 3]
 
     def test_serial_sweep_builds_one_anticommutation_table(self, monkeypatch):
         h = hardcore_boson_1d(6)
@@ -456,7 +474,7 @@ class TestSweep:
             return real_anti(*args)
 
         real_rows, real_anti = grouping_module._anti_rows, grouping_module._anti
-        monkeypatch.setattr(analysis_module, "_anti_rows", counting_rows)
+        monkeypatch.setattr(grouping_module, "_anti_rows", counting_rows)
         monkeypatch.setattr(grouping_module, "_anti", recording_anti)
         assert k_sweep(h, range(1, 7), jobs=1) == expected
         assert len(built) == 1
@@ -564,6 +582,7 @@ SWEEP_CORPUS = {
 }
 
 
+@pytest.mark.usefixtures("deadline")
 class TestRelationClasses:
     @staticmethod
     def independent_rows(h, ks, algorithm, seed, with_circuits):
@@ -629,8 +648,8 @@ class TestRelationClasses:
             calls.append(k)
             return real(rows, order, k)
 
-        real = analysis_module._column_fit
-        monkeypatch.setattr(analysis_module, "_column_fit", counting)
+        real = grouping_module._column_fit
+        monkeypatch.setattr(grouping_module, "_column_fit", counting)
         rows = k_sweep(tfim(8), range(1, 9), jobs=1)
         assert len(calls) == 1
         assert [r.k for r in rows] == list(range(1, 9))
@@ -692,18 +711,19 @@ class TestKStar:
             with pytest.raises(ValueError, match="rel_tol"):
                 find_k_star([SweepRow(1, 1, 1.0)], rel_tol=bad)
 
-    def test_bacon_shor_4x4_threshold(self):
+    def test_bacon_shor_4x4_threshold(self, deadline):
         rows = k_sweep(bacon_shor(4, 4), range(1, 17))
         res = find_k_star(rows)
         assert res.k_star_groups == 4
         assert res.k_star_rhat == 4
 
-    def test_tfim_threshold_is_one(self):
+    def test_tfim_threshold_is_one(self, deadline):
         rows = k_sweep(tfim(8), range(1, 9))
         res = find_k_star(rows)
         assert res.k_star_rhat == 1 and res.k_star_groups == 1
 
 
+@pytest.mark.usefixtures("deadline")
 class TestScaling:
     def test_bacon_shor_square_lattices(self):
         def factory(n):

@@ -347,6 +347,21 @@ class TestExtremeInputs:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "hardcore-boson", "--n", "100", "--g", "1e307"],
+            ["kstar", "hardcore-boson", "--sizes", "4,100", "--g", "1e307",
+             "--jobs", "1"],
+        ],
+        ids=["gen", "kstar"],
+    )
+    def test_offset_overflow_is_one_error_line(self, capsys, argv):
+        assert run_cli(*argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: offset must be finite, got inf\n"
+
 
 @pytest.mark.skipif(resource is None, reason="needs resource.setrlimit")
 @pytest.mark.parametrize("k", ["1", "99999999999"])

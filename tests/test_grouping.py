@@ -7,7 +7,6 @@ import itertools
 import math
 import operator
 import random
-import signal
 
 import pytest
 from hypothesis import given, settings
@@ -318,21 +317,6 @@ COLUMN_FIT_CORPUS = {
     "random-w8": random_hamiltonian(16, 8.0, seed=3),
     "sparse-40x2000": sparse_hamiltonian(40, 2000, seed=5),
 }
-
-
-@pytest.fixture
-def deadline():
-    """Fail instead of hanging: a column fit that stops clearing the terms
-    it accepts never finishes."""
-
-    def expire(signum, frame):
-        raise TimeoutError("first fit did not finish within 20 s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(20)
-    yield
-    signal.alarm(0)
-    signal.signal(signal.SIGALRM, previous)
 
 
 class TestColumnFit:

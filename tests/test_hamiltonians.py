@@ -47,6 +47,13 @@ class TestTypes:
         with pytest.raises(ValueError):
             Hamiltonian(3, (Term(1.0, parse_pauli("XY", 2)),))
 
+    @pytest.mark.parametrize("offset", [float("nan"), float("inf"), -float("inf")])
+    def test_hamiltonian_rejects_non_finite_offset(self, offset):
+        with pytest.raises(ValueError, match="offset must be finite"):
+            Hamiltonian(2, (), offset)
+        with pytest.raises(ValueError, match="offset must be finite"):
+            Hamiltonian(2, (Term(1.0, parse_pauli("XY", 2)),), offset)
+
 
 class TestBaconShor:
     def test_2x2(self):
@@ -159,6 +166,12 @@ class TestHardcoreBoson:
     def test_rejects_short_chain(self):
         with pytest.raises(ValueError):
             hardcore_boson_1d(1)
+
+    def test_offset_overflow_is_rejected(self):
+        # every coefficient, -2g and t/2, is finite; the offset 2gn is not
+        with pytest.raises(ValueError, match="offset must be finite, got inf"):
+            hardcore_boson_1d(100, g=1e307)
+        assert hardcore_boson_1d(8, g=1e307).offset == 1.6e308
 
     @pytest.mark.parametrize("n", [sys.maxsize + 1, 10**23])
     def test_width_past_sys_maxsize_names_it(self, n):
