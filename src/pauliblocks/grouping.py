@@ -133,22 +133,21 @@ def _anti(cols: _Columns, x: int, z: int) -> list[tuple[int, int]]:
     return out
 
 
-# per insertion rank: the terms it anticommutes with on an odd number of
-# qubits, those on a nonzero even number, and its (qubit, column) pairs whose
-# column meets the even ones, in qubit order
-_AntiRow = tuple[int, int, list[tuple[int, int]]]
+def _anti_table(
+    t: _Terms, order: Sequence[int]
+) -> tuple[list[list[tuple[int, int]]], list[tuple[int, int]]]:
+    """(antis, cuts) over the terms in `order`, for a sweep of block sizes.
 
-
-def _anti_rows(t: _Terms, cols: _Columns, order: Sequence[int]) -> list[_AntiRow]:
-    """For each insertion rank, the (odd, even, split) row of term order[r]
-    over the columns `_columns(t, order)`.
-
-    An odd partner fails to block-commute under every partition, and a
-    term that anticommutes on no position never does. Only an even partner
-    depends on the blocks, and only through the split columns: the others
-    hold no even partner. The split pairs reference the columns' own ints.
+    antis[r] is `_anti(cols, x, z)` of term order[r] over the columns
+    `_columns(t, order)`: its pairs reference the columns' own ints, so the
+    table grows linearly in the term count. cuts holds, sorted, every pair
+    of consecutive split qubits of some term: the qubits whose column holds
+    one of its even partners, the terms it anticommutes with on a nonzero
+    even number of qubits.
     """
-    rows = []
+    cols = _columns(t, order)
+    antis = []
+    cuts: set[tuple[int, int]] = set()
     for i in order:
         anti = _anti(cols, t.xs[i], t.zs[i])
         hit = odd = 0
@@ -156,49 +155,44 @@ def _anti_rows(t: _Terms, cols: _Columns, order: Sequence[int]) -> list[_AntiRow
             hit |= a
             odd ^= a
         even = hit & ~odd
-        rows.append((odd, even, [(q, a) for q, a in anti if a & even]))
-    return rows
+        qs = [q for q, a in anti if a & even]
+        cuts.update(zip(qs, qs[1:]))
+        antis.append(anti)
+    return antis, sorted(cuts)
 
 
-def _relation_classes(rows: Sequence[_AntiRow], ks: Sequence[int]) -> list[list[int]]:
+def _relation_classes(cuts: Sequence[tuple[int, int]], ks: Sequence[int]) -> list[list[int]]:
     """Split the uniform block sizes ks into classes under which every pair
     of terms block-commutes alike, each class in the order of ks.
 
     A pair that anticommutes on no position, or on an odd number of them,
     block-commutes the same way under every partition. A pair that
     anticommutes on an even number block-commutes when every block holds an
-    even number of those positions. So for each term, only its split qubits
-    (see `_anti_rows`) matter, and only whether each consecutive two of them
-    (a cut) share a block. Block sizes that keep the same cuts together
-    share a relation, so first fit, sorted or seeded random, groups the
-    terms identically under each of them.
+    even number of those positions. So only the cuts of `_anti_table`
+    matter, and only whether each of them shares a block. Block sizes that
+    keep the same cuts together share a relation, so first fit, sorted or
+    seeded random, groups the terms identically under each of them.
     """
-    cuts: set[tuple[int, int]] = set()
-    for _, _, split in rows:
-        qs = [q for q, _ in split]
-        cuts.update(zip(qs, qs[1:]))
-    ordered = sorted(cuts)
     classes: dict[tuple[bool, ...], list[int]] = {}
     for k in ks:
-        key = tuple(a // k == b // k for a, b in ordered)
+        key = tuple(a // k == b // k for a, b in cuts)
         classes.setdefault(key, []).append(k)
     return list(classes.values())
 
 
 def _column_fit(
-    rows: Sequence[_AntiRow], order: Sequence[int], k: int
+    antis: Sequence[list[tuple[int, int]]], order: Sequence[int], k: int
 ) -> tuple[tuple[int, ...], ...]:
     """The groups `_first_fit` makes under blocks of size k, one group at a
-    time on the rows `_anti_rows(t, cols, order)`.
+    time on the antis of `_anti_table(t, order)`.
 
     A group takes the lowest remaining rank and drops from its candidates
     every term that fails to k-commute with it, then takes the lowest
     candidate left, and so on. So a term joins group g exactly when it
     conflicts with some member of each earlier group and with no earlier
-    member of g, as in first fit. A term's conflicts are its odd partners,
-    and those even partners that some block splits: the OR over blocks of
-    the XOR of its split columns in that block, masked to the even ones.
-    A term with no even partner costs O(1) big-int operations.
+    member of g, as in first fit. A term's conflicts are those that
+    anticommute with it on an odd number of qubits of some block: the OR
+    over blocks of the XOR of its columns in that block.
     """
     groups = []
     remaining = (1 << len(order)) - 1
@@ -210,19 +204,16 @@ def _column_fit(
             r = low.bit_length() - 1
             group.append(order[r])
             remaining ^= low
-            conflicts, even, split = rows[r]
-            if even:
-                hit = parity = 0
-                block = -1
-                for q, a in split:
-                    if q // k == block:
-                        parity ^= a
-                    else:
-                        hit |= parity
-                        parity = a
-                        block = q // k
-                conflicts |= even & (hit | parity)
-            candidates &= ~(conflicts | low)
+            hit = parity = 0
+            block = -1
+            for q, a in antis[r]:
+                if q // k == block:
+                    parity ^= a
+                else:
+                    hit |= parity
+                    parity = a
+                    block = q // k
+            candidates &= ~(hit | parity | low)
         groups.append(tuple(group))
     return tuple(groups)
 
@@ -237,10 +228,10 @@ def _sweep_groups(
     each class of block sizes under which every pair of terms
     block-commutes alike.
     """
-    rows = _anti_rows(t, _columns(t, order), order)
+    antis, cuts = _anti_table(t, order)
     out = []
-    for ks_alike in _relation_classes(rows, ks):
-        groups = _column_fit(rows, order, ks_alike[0])
+    for ks_alike in _relation_classes(cuts, ks):
+        groups = _column_fit(antis, order, ks_alike[0])
         r_hat = _r_hat_of_groups(t, groups)
         out.extend((k, groups, r_hat) for k in ks_alike)
     return sorted(out, key=lambda swept: swept[0])

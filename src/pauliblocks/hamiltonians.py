@@ -247,8 +247,8 @@ def random_hamiltonian(n: int, w: float, seed: int) -> Hamiltonian:
     seen: set[PauliString] = set()
     terms: list[Term] = []
     while len(terms) < n:
-        t = round(rng.expovariate(1.0 / w))
-        t = min(max(t, 1), n)
+        # a draw past n weighs n: an infinite one cannot be rounded
+        t = max(round(min(rng.expovariate(1.0 / w), n)), 1)
         x = z = 0
         for q in rng.sample(range(n), t):
             letter = rng.choice("XYZ")

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from pauliblocks import CliffordCircuit, Gate, PauliString
+from pauliblocks import grouping
 
 # ---------------------------------------------------------------------------
 # Dense-matrix oracles, independent of the bit-vector implementation.
@@ -63,14 +64,33 @@ def equal_up_to_sign(a: np.ndarray, b: np.ndarray) -> bool:
     return np.allclose(a, b) or np.allclose(a, -b)
 
 
+class _ReadOnce(list):
+    """An insertion order that fails once more terms are read from it than
+    it holds: a column fit reads each term it accepts exactly once."""
+
+    reads = 0
+
+    def __getitem__(self, r):
+        self.reads += 1
+        if self.reads > len(self):
+            raise AssertionError(f"column fit accepted more than {len(self)} terms")
+        return super().__getitem__(r)
+
+
 @pytest.fixture
-def deadline():
+def deadline(monkeypatch):
     """Fail instead of hanging: a column fit that stops clearing the terms
-    it accepts never finishes."""
+    it accepts never finishes. One that accepts a term twice fails at its
+    first excess term, before its groups grow; any other hang fails at the
+    alarm."""
 
     def expire(signum, frame):
         raise TimeoutError("first fit did not finish within 20 s")
 
+    real = grouping._column_fit
+    monkeypatch.setattr(
+        grouping, "_column_fit", lambda antis, order, k: real(antis, _ReadOnce(order), k)
+    )
     previous = signal.signal(signal.SIGALRM, expire)
     signal.alarm(20)
     yield

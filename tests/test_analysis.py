@@ -465,20 +465,20 @@ class TestSweep:
         built = []  # one entry per table built
         callers = set()  # the function that called `_anti`, each time
 
-        def counting_rows(*args):
+        def counting_table(*args):
             built.append(args)
-            return real_rows(*args)
+            return real_table(*args)
 
         def recording_anti(*args):
             callers.add(sys._getframe(1).f_code.co_name)
             return real_anti(*args)
 
-        real_rows, real_anti = grouping_module._anti_rows, grouping_module._anti
-        monkeypatch.setattr(grouping_module, "_anti_rows", counting_rows)
+        real_table, real_anti = grouping_module._anti_table, grouping_module._anti
+        monkeypatch.setattr(grouping_module, "_anti_table", counting_table)
         monkeypatch.setattr(grouping_module, "_anti", recording_anti)
         assert k_sweep(h, range(1, 7), jobs=1) == expected
         assert len(built) == 1
-        assert callers == {"_anti_rows"}
+        assert callers == {"_anti_table"}
 
     @pytest.mark.parametrize("method", ["spawn", "forkserver"])
     def test_pool_matches_serial_under_start_method(self, tmp_path, method):
@@ -564,10 +564,8 @@ if __name__ == "__main__":
 
 def classes_of(h, ks):
     t = grouping_module._terms(h)
-    cols = grouping_module._columns(t, t.order)
-    return grouping_module._relation_classes(
-        grouping_module._anti_rows(t, cols, t.order), ks
-    )
+    _, cuts = grouping_module._anti_table(t, t.order)
+    return grouping_module._relation_classes(cuts, ks)
 
 
 # every family, and random instances with light (w = 2) and heavy (w = n/2)
@@ -644,9 +642,9 @@ class TestRelationClasses:
     def test_tfim_groups_once(self, monkeypatch):
         calls = []  # the block size of every grouping run
 
-        def counting(rows, order, k):
+        def counting(antis, order, k):
             calls.append(k)
-            return real(rows, order, k)
+            return real(antis, order, k)
 
         real = grouping_module._column_fit
         monkeypatch.setattr(grouping_module, "_column_fit", counting)

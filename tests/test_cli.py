@@ -350,6 +350,18 @@ class TestExtremeInputs:
     @pytest.mark.parametrize(
         "argv",
         [
+            ["gen", "random", "--n", "4", "--w", "1e308", "--seed", "0"],
+            ["kstar", "random", "--sizes", "4", "--w", "1e308", "--seed", "1",
+             "--jobs", "1"],
+        ],
+        ids=["gen", "kstar"],
+    )
+    def test_infinite_weight_draw_clamps_to_n(self, argv):
+        assert run_cli(*argv) == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ["gen", "hardcore-boson", "--n", "100", "--g", "1e307"],
             ["kstar", "hardcore-boson", "--sizes", "4,100", "--g", "1e307",
              "--jobs", "1"],

@@ -289,6 +289,10 @@ CASES = {
     "gen_hardcore_boson_offset_overflow": _case(
         "gen", "hardcore-boson", "--n", "100", "--g", "1e307"
     ),
+    # the first weight drawn is infinite: it clamps to n
+    "gen_random_infinite_weight": _case(
+        "gen", "random", "--n", "4", "--w", "1e308", "--seed", "0"
+    ),
     # a pool needs at least one worker
     "error_kstar_jobs": _case(
         "kstar", "random", "--sizes", "4", "--seed", "1", "--seeds", "2", "--jobs", "0",

@@ -7,6 +7,7 @@ import itertools
 import math
 import operator
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -326,11 +327,11 @@ class TestColumnFit:
         h = COLUMN_FIT_CORPUS[name]
         t = grouping_module._terms(h)
         order = grouping_module._order(t, algorithm, seed)
-        rows = grouping_module._anti_rows(t, grouping_module._columns(t, order), order)
+        antis, _ = grouping_module._anti_table(t, order)
         for k in range(1, h.n_qubits + 1):
             blocks = BlockSpec.uniform(k, h.n_qubits)
             expected = grouping_module._first_fit(t, blocks, order).groups
-            assert grouping_module._column_fit(rows, order, k) == expected, k
+            assert grouping_module._column_fit(antis, order, k) == expected, k
 
     def test_columns_in_rank_space(self):
         h = Hamiltonian(3, tuple(
@@ -345,7 +346,7 @@ class TestColumnFit:
             2: (0b010, 0b110, 0b100),
         }
 
-    def test_anti_rows_in_rank_space(self):
+    def test_anti_table_in_rank_space(self, deadline):
         # XXI and ZZI anticommute on qubits 0 and 1, an even pair; IZX
         # anticommutes with XXI on qubit 1 and with IIZ on qubit 2, odd pairs
         h = Hamiltonian(3, tuple(
@@ -354,29 +355,50 @@ class TestColumnFit:
         ))
         t = grouping_module._terms(h)
         assert t.order == [0, 1, 2, 3]
-        cols = grouping_module._columns(t, t.order)
-        rows = grouping_module._anti_rows(t, cols, t.order)
-        assert rows == [
-            (0b1000, 0b0010, [(0, 0b0010), (1, 0b1010)]),
-            (0b0000, 0b0001, [(0, 0b0001), (1, 0b0001)]),
-            (0b1000, 0b0000, []),
-            (0b0101, 0b0000, []),
+        antis, cuts = grouping_module._anti_table(t, t.order)
+        assert antis == [
+            [(0, 0b0010), (1, 0b1010)],
+            [(0, 0b0001), (1, 0b0001)],
+            [(2, 0b1000)],
+            [(1, 0b0001), (2, 0b0100)],
         ]
+        assert cuts == [(0, 1)]
         # XXI and ZZI share a group only where one block holds both qubits
         expected = {1: ((0, 2), (1, 3)), 2: ((0, 1, 2), (3,)), 3: ((0, 1, 2), (3,))}
         for k, groups in expected.items():
             blocks = BlockSpec.uniform(k, 3)
             assert grouping_module._first_fit(t, blocks, t.order).groups == groups
-            assert grouping_module._column_fit(rows, t.order, k) == groups
+            assert grouping_module._column_fit(antis, t.order, k) == groups
 
-    def test_split_pairs_hold_the_columns_own_ints(self):
-        h = COLUMN_FIT_CORPUS["sparse-40x2000"]
-        t = grouping_module._terms(h)
-        cols = grouping_module._columns(t, t.order)
-        rows = grouping_module._anti_rows(t, cols, t.order)
-        split = [(q, a) for _, _, pairs in rows for q, a in pairs]
-        assert len(split) > len(rows)
-        assert all(any(a is c for c in cols[q]) for q, a in split)
+    def test_antis_hold_the_columns_own_ints(self, monkeypatch):
+        built = []  # the columns the table is read from
+
+        def recording_columns(*args):
+            built.append(real(*args))
+            return built[-1]
+
+        real = grouping_module._columns
+        monkeypatch.setattr(grouping_module, "_columns", recording_columns)
+        t = grouping_module._terms(COLUMN_FIT_CORPUS["sparse-40x2000"])
+        antis, _ = grouping_module._anti_table(t, t.order)
+        [cols] = built
+        pairs = [pair for anti in antis for pair in anti]
+        assert len(pairs) > len(antis)
+        assert all(any(a is c for c in cols[q]) for q, a in pairs)
+
+    def test_sweep_memory_is_linear_in_the_term_count(self, deadline):
+        # the table holds references to the qubit columns, not a mask over
+        # the terms per term: doubling the terms must not quadruple the peak
+        peaks = []
+        for count in (2000, 4000):
+            t = grouping_module._terms(sparse_hamiltonian(80, count, seed=5))
+            tracemalloc.start()
+            try:
+                grouping_module._sweep_groups(t, t.order, [1])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 2.5 * peaks[0], peaks
 
     def test_sweep_runs_without_the_kernel_and_group_uses_it(self, deadline, monkeypatch):
         h = random_hamiltonian(10, 3.0, seed=2)

@@ -201,6 +201,12 @@ class TestRandomHamiltonian:
         h = random_hamiltonian(6, 1e-9, seed=3)
         assert all(t.pauli.weight == 1 for t in h.terms)
 
+    def test_huge_mean_weight_clamps_to_n(self):
+        # the first draw at seed 0 is infinite
+        h = random_hamiltonian(4, 1e308, seed=0)
+        assert h.num_terms == 4
+        assert all(t.pauli.weight == 4 for t in h.terms)
+
     def test_mean_weight_matches_clamped_exponential(self):
         # analytic mean of round(Exp(mean 2)) clamped to [1, 50] is 2.2005
         weights = [
