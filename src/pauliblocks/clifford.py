@@ -391,7 +391,7 @@ def per_block_circuits(
     """
     blocks.require_n(circuit.n_qubits)
     buckets: list[list[Gate]] = [[] for _ in blocks.spans]
-    home = [idx for idx, (start, stop) in enumerate(blocks.spans) for _ in range(start, stop)]
+    home = blocks.home
     for gate in circuit.gates:
         homes = {home[q] for q in gate.qubits}
         if len(homes) != 1:

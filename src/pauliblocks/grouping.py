@@ -181,19 +181,21 @@ def _relation_classes(cuts: Sequence[tuple[int, int]], ks: Sequence[int]) -> lis
 
 
 def _column_fit(
-    antis: Sequence[list[tuple[int, int]]], order: Sequence[int], k: int
+    antis: Sequence[list[tuple[int, int]]], order: Sequence[int], blocks: BlockSpec
 ) -> tuple[tuple[int, ...], ...]:
-    """The groups `_first_fit` makes under blocks of size k, one group at a
-    time on the antis of `_anti_table(t, order)`.
+    """The groups `_first_fit` makes under `blocks`, any contiguous
+    partition, one group at a time on the antis of `_anti_table(t, order)`.
 
     A group takes the lowest remaining rank and drops from its candidates
-    every term that fails to k-commute with it, then takes the lowest
+    every term that fails to block-commute with it, then takes the lowest
     candidate left, and so on. So a term joins group g exactly when it
     conflicts with some member of each earlier group and with no earlier
     member of g, as in first fit. A term's conflicts are those that
     anticommute with it on an odd number of qubits of some block: the OR
-    over blocks of the XOR of its columns in that block.
+    over blocks of the XOR of its columns in that block. The antis run in
+    increasing qubit order, so each block's columns are consecutive.
     """
+    home = blocks.home
     groups = []
     remaining = (1 << len(order)) - 1
     while remaining:
@@ -207,12 +209,12 @@ def _column_fit(
             hit = parity = 0
             block = -1
             for q, a in antis[r]:
-                if q // k == block:
+                if home[q] == block:
                     parity ^= a
                 else:
                     hit |= parity
                     parity = a
-                    block = q // k
+                    block = home[q]
             candidates &= ~(hit | parity | low)
         groups.append(tuple(group))
     return tuple(groups)
@@ -231,7 +233,8 @@ def _sweep_groups(
     antis, cuts = _anti_table(t, order)
     out = []
     for ks_alike in _relation_classes(cuts, ks):
-        groups = _column_fit(antis, order, ks_alike[0])
+        blocks = BlockSpec.uniform(ks_alike[0], t.n_qubits)
+        groups = _column_fit(antis, order, blocks)
         r_hat = _r_hat_of_groups(t, groups)
         out.extend((k, groups, r_hat) for k in ks_alike)
     return sorted(out, key=lambda swept: swept[0])

@@ -107,31 +107,40 @@ class BlockSpec:
     """An ordered partition of n qubit positions into contiguous blocks.
 
     The block sizes (k_1, ..., k_m) must be positive and sum to the qubit
-    count of any string the partition is applied to. Bitmasks for each
-    block are precomputed once at construction.
+    count of any string the partition is applied to. Each block's span and
+    bitmask, and each qubit's block index (`home`), are derived once at
+    construction; equality, hashing, repr and pickling use `sizes` alone.
     """
 
     sizes: tuple[int, ...]
     spans: tuple[tuple[int, int], ...] = field(init=False, compare=False)
     masks: tuple[int, ...] = field(init=False, compare=False)
+    home: tuple[int, ...] = field(init=False, compare=False)  # qubit -> block
 
     def __post_init__(self):
-        sizes = tuple(int(s) for s in self.sizes)
+        sizes = tuple(map(int, self.sizes))
         if not sizes:
             raise ValueError("BlockSpec needs at least one block")
-        if any(s < 1 for s in sizes):
+        if min(sizes) < 1:
             raise ValueError(f"block sizes must be positive, got {sizes}")
         spans = []
         masks = []
+        home: list[int] = []
         start = 0
-        for s in sizes:
+        for idx, s in enumerate(sizes):
             stop = start + s
             spans.append((start, stop))
-            masks.append(((1 << stop) - 1) ^ ((1 << start) - 1))
+            masks.append(((1 << s) - 1) << start)
+            home += [idx] * s
             start = stop
         object.__setattr__(self, "sizes", sizes)
         object.__setattr__(self, "spans", tuple(spans))
         object.__setattr__(self, "masks", tuple(masks))
+        object.__setattr__(self, "home", tuple(home))
+
+    def __reduce__(self):
+        # the derived fields are rebuilt: the masks alone hold O(n^2/k) bits
+        return BlockSpec, (self.sizes,)
 
     @classmethod
     def uniform(cls, k: int, n_qubits: int) -> "BlockSpec":

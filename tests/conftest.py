@@ -89,7 +89,9 @@ def deadline(monkeypatch):
 
     real = grouping._column_fit
     monkeypatch.setattr(
-        grouping, "_column_fit", lambda antis, order, k: real(antis, _ReadOnce(order), k)
+        grouping,
+        "_column_fit",
+        lambda antis, order, blocks: real(antis, _ReadOnce(order), blocks),
     )
     previous = signal.signal(signal.SIGALRM, expire)
     signal.alarm(20)

@@ -490,7 +490,7 @@ class TestSweep:
         script.write_text(POOLED_SCRIPT, encoding="utf-8")
         result = subprocess.run(
             [sys.executable, str(script), method],
-            capture_output=True, text=True, timeout=300,
+            capture_output=True, text=True, timeout=60,
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout == f"{method}\n"
@@ -536,12 +536,28 @@ class TestSweep:
 
 
 # run as a script: pooled sweeps and k* scans under the start method named by
-# argv[1] must equal their serial runs
+# argv[1] must equal their serial runs. Spawned and forkserver workers
+# re-import the script, so the read-bounded order of `deadline` is installed
+# at module level: a column fit that accepts a term twice fails in any process.
 POOLED_SCRIPT = """\
 import multiprocessing
 import sys
 
-from pauliblocks import k_star_scaling, k_sweep, random_hamiltonian, tfim
+from pauliblocks import grouping, k_star_scaling, k_sweep, random_hamiltonian, tfim
+
+
+class ReadOnce(list):
+    reads = 0
+
+    def __getitem__(self, r):
+        self.reads += 1
+        if self.reads > len(self):
+            raise AssertionError(f"column fit accepted more than {len(self)} terms")
+        return super().__getitem__(r)
+
+
+real_fit = grouping._column_fit
+grouping._column_fit = lambda antis, order, blocks: real_fit(antis, ReadOnce(order), blocks)
 
 
 def random_w2(n, seed):
@@ -640,11 +656,11 @@ class TestRelationClasses:
             assert len(groups) == 2, cls
 
     def test_tfim_groups_once(self, monkeypatch):
-        calls = []  # the block size of every grouping run
+        calls = []  # the blocks of every grouping run
 
-        def counting(antis, order, k):
-            calls.append(k)
-            return real(antis, order, k)
+        def counting(antis, order, blocks):
+            calls.append(blocks)
+            return real(antis, order, blocks)
 
         real = grouping_module._column_fit
         monkeypatch.setattr(grouping_module, "_column_fit", counting)

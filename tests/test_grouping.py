@@ -331,7 +331,24 @@ class TestColumnFit:
         for k in range(1, h.n_qubits + 1):
             blocks = BlockSpec.uniform(k, h.n_qubits)
             expected = grouping_module._first_fit(t, blocks, order).groups
-            assert grouping_module._column_fit(antis, order, k) == expected, k
+            assert grouping_module._column_fit(antis, order, blocks) == expected, k
+
+    @pytest.mark.parametrize("name", list(COLUMN_FIT_CORPUS))
+    @pytest.mark.parametrize("algorithm, seed", [("sorted", None), ("random", 6)])
+    def test_same_groups_as_first_fit_on_any_partition(self, deadline, name, algorithm, seed):
+        # seeded random compositions of n, from one block to all singletons
+        h = COLUMN_FIT_CORPUS[name]
+        n = h.n_qubits
+        t = grouping_module._terms(h)
+        order = grouping_module._order(t, algorithm, seed)
+        antis, _ = grouping_module._anti_table(t, order)
+        rng = random.Random(name)
+        for _ in range(12):
+            density = rng.random()
+            cuts = [q for q in range(1, n) if rng.random() < density]
+            blocks = BlockSpec([b - a for a, b in zip([0, *cuts], [*cuts, n])])
+            expected = grouping_module._first_fit(t, blocks, order).groups
+            assert grouping_module._column_fit(antis, order, blocks) == expected, blocks
 
     def test_columns_in_rank_space(self):
         h = Hamiltonian(3, tuple(
@@ -368,7 +385,7 @@ class TestColumnFit:
         for k, groups in expected.items():
             blocks = BlockSpec.uniform(k, 3)
             assert grouping_module._first_fit(t, blocks, t.order).groups == groups
-            assert grouping_module._column_fit(antis, t.order, k) == groups
+            assert grouping_module._column_fit(antis, t.order, blocks) == groups
 
     def test_antis_hold_the_columns_own_ints(self, monkeypatch):
         built = []  # the columns the table is read from

@@ -197,7 +197,7 @@ class TestBlockSpec:
 
     def test_immutable(self):
         spec = BlockSpec([1, 2])
-        for name in ("sizes", "spans", "masks"):
+        for name in ("sizes", "spans", "masks", "home"):
             with pytest.raises(AttributeError):
                 setattr(spec, name, ())
         assert spec.sizes == (1, 2) and spec.masks == (0b001, 0b110)
@@ -209,6 +209,21 @@ class TestBlockSpec:
         assert repr(spec) == "BlockSpec((1, 2))"
         back = pickle.loads(pickle.dumps(spec))
         assert back == spec and back.spans == spec.spans and back.masks == spec.masks
+
+    def test_pickles_as_its_sizes(self):
+        # the masks of uniform(1, n) total about n^2 / 2 bits
+        spec = BlockSpec.uniform(1, 2000)
+        data = pickle.dumps(spec)
+        assert len(data) < 10_000
+        back = pickle.loads(data)
+        assert (back.spans, back.masks, back.home) == (spec.spans, spec.masks, spec.home)
+
+    def test_home_is_each_qubits_block(self):
+        assert BlockSpec((1, 3, 2)).home == (0, 1, 1, 1, 2, 2)
+        # the identity the sweep's relation classes rely on
+        for n in range(1, 41):
+            for k in range(1, n + 1):
+                assert BlockSpec.uniform(k, n).home == tuple(q // k for q in range(n)), (k, n)
 
 
 class TestKCommutes:
