@@ -92,38 +92,25 @@ class CliffordCircuit:
         return len(self.gates)
 
 
-def _apply_gate(gate: Gate, x: int, z: int) -> tuple[int, int]:
-    if gate.kind == "H":
-        q = 1 << gate.qubits[0]
-        if bool(x & q) != bool(z & q):
-            x ^= q
-            z ^= q
-        return x, z
-    if gate.kind == "S":
-        q = 1 << gate.qubits[0]
-        return x, z ^ (x & q)
-    c, t = gate.qubits
-    if (x >> c) & 1:
-        x ^= 1 << t
-    if (z >> t) & 1:
-        z ^= 1 << c
-    return x, z
-
-
-def _replay(gates: Iterable[Gate], x: int, z: int) -> tuple[int, int]:
-    """Phaseless image of the string (x, z) under the gates, first gate first."""
-    for gate in gates:
-        x, z = _apply_gate(gate, x, z)
-    return x, z
-
-
 def conjugate(circuit: CliffordCircuit, pauli: PauliString) -> PauliString:
-    """Phaseless image of a Pauli string under conjugation by the circuit."""
+    """Phaseless image of a Pauli string under conjugation by the circuit,
+    each gate applied to the string's own (x, z) bits, first gate first."""
     if pauli.n_qubits != circuit.n_qubits:
         raise ValueError(
             f"qubit count mismatch: circuit has {circuit.n_qubits}, Pauli has {pauli.n_qubits}"
         )
-    x, z = _replay(circuit.gates, pauli.x_bits, pauli.z_bits)
+    x, z = pauli.x_bits, pauli.z_bits
+    for gate in circuit.gates:
+        if gate.kind == "H":
+            d = (x ^ z) & (1 << gate.qubits[0])
+            x ^= d
+            z ^= d
+        elif gate.kind == "S":
+            z ^= x & (1 << gate.qubits[0])
+        else:
+            c, t = gate.qubits
+            x ^= ((x >> c) & 1) << t
+            z ^= ((z >> t) & 1) << c
     return PauliString(pauli.n_qubits, x, z)
 
 
@@ -186,7 +173,8 @@ class Tableau:
         xs[q] and zs[q] mask the 2n generator rows (X_j is row j, Z_j row
         n + j) whose image has an x or z bit on qubit q, so each gate costs
         O(1) big-int operations. Synthesis applies its gates by the same
-        column rules; `conjugate` replays them row-wise, apart from both.
+        column rules; `conjugate` applies them to one string's own bits,
+        apart from both.
         """
         n = circuit.n_qubits
         xs = [1 << q for q in range(n)]

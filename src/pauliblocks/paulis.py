@@ -259,7 +259,9 @@ def first_noncommuting_pair(
 
 def commutes(p: PauliString, q: PauliString) -> bool:
     """True iff PQ = QP as operators (even symplectic inner product)."""
-    return k_commutes(p, q, BlockSpec((p.n_qubits,)))
+    if p.n_qubits != q.n_qubits:
+        raise ValueError(f"qubit count mismatch: {p.n_qubits} vs {q.n_qubits}")
+    return block_commutes_all(p.x_bits, p.z_bits, [(q.x_bits, q.z_bits)], (-1,))
 
 
 def restrict(p: PauliString, a: int, b: int) -> PauliString:

@@ -3,6 +3,7 @@ report hook."""
 
 from __future__ import annotations
 
+import contextlib
 import signal
 from functools import reduce
 
@@ -62,6 +63,14 @@ def circuit_matrix(circuit: CliffordCircuit) -> np.ndarray:
 
 def equal_up_to_sign(a: np.ndarray, b: np.ndarray) -> bool:
     return np.allclose(a, b) or np.allclose(a, -b)
+
+
+def folds_identity_if(folds: bool):
+    """Expect the loader's identity-folding warning exactly when `folds`:
+    pyproject.toml makes any other warning from the library an error."""
+    if folds:
+        return pytest.warns(UserWarning, match="folding identity")
+    return contextlib.nullcontext()
 
 
 class _ReadOnce(list):

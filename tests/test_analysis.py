@@ -295,6 +295,8 @@ class TestGateBound:
         assert min_circuit_depth(1.39, 2) == 1
         assert min_circuit_depth(9, 4) == 3
         assert min_circuit_depth(0, 4) == 0
+        with pytest.raises(ValueError, match="n must be positive"):
+            min_circuit_depth(9, 0)
 
 
 @pytest.mark.usefixtures("deadline")

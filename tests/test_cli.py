@@ -5,8 +5,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+import random
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -15,6 +17,15 @@ try:
 except ImportError:  # not on Windows
     resource = None
 
+from conftest import folds_identity_if
+from pauliblocks import (
+    CliffordCircuit,
+    PauliString,
+    Tableau,
+    circuit_from_text,
+    circuit_to_text,
+    cli,
+)
 from pauliblocks.cli import main
 
 WORKED_EXAMPLE = "qubits: 2\n4.0 XI\n4.0 IX\n1.0 IZ\n1.0 ZX\n"
@@ -307,6 +318,49 @@ class TestKstarBoundDiag:
         assert run_cli("diag", str(path), "--k", "2", "--group-index", "9") == 1
 
 
+class TestDiagRefusesAnUnverifiedCircuit:
+    """Each of diag's checks refuses a bad circuit on its own, and diag then
+    writes nothing."""
+
+    @pytest.fixture
+    def run_diag(self, tmp_path, capsys):
+        path = tmp_path / "h.txt"
+        path.write_text("qubits: 4\n1.0 XXXX\n1.0 ZZZZ\n")
+        out = tmp_path / "circuit.txt"
+
+        def run() -> str:
+            code = run_cli("diag", str(path), "--k", "2", "--out", str(out))
+            stdout, err = capsys.readouterr()
+            assert (code, stdout, out.exists()) == (1, "", False)
+            assert err.startswith("error: verification failed: ") and err.count("\n") == 1
+            return err
+
+        return run
+
+    @pytest.mark.parametrize("trusted", [None, "tableau", "conjugate"])
+    def test_circuit_without_its_last_gate(self, monkeypatch, run_diag, trusted):
+        real = cli.diagonalize_group
+
+        def drop_last_gate(members, blocks):
+            circuit = real(members, blocks)
+            return CliffordCircuit(circuit.n_qubits, circuit.gates[:-1])
+
+        def diagonal(*args):
+            return PauliString(args[-1].n_qubits)
+
+        monkeypatch.setattr(cli, "diagonalize_group", drop_last_gate)
+        # a trusted check calls every image diagonal: the other must refuse
+        if trusted == "tableau":
+            monkeypatch.setattr(Tableau, "apply", diagonal)
+        elif trusted == "conjugate":
+            monkeypatch.setattr(cli, "conjugate", diagonal)
+        assert run_diag().endswith(" is not diagonalized\n")
+
+    def test_tableau_that_is_not_symplectic(self, monkeypatch, run_diag):
+        monkeypatch.setattr(Tableau, "is_symplectic", lambda self: False)
+        assert run_diag() == "error: verification failed: tableau is not symplectic\n"
+
+
 class TestExtremeInputs:
     @pytest.mark.parametrize("coeff", ["1e308", "1e-200"])
     def test_score_is_finite_for_extreme_coefficients(self, tmp_path, capsys, coeff):
@@ -326,7 +380,8 @@ class TestExtremeInputs:
     def test_non_finite_coefficient_names_its_line(self, tmp_path, capsys, text):
         path = tmp_path / "h.txt"
         path.write_text("qubits: 2\n" + text)
-        assert run_cli("group", str(path), "--k", "1") == 1
+        with folds_identity_if("II" in text):
+            assert run_cli("group", str(path), "--k", "1") == 1
         out, err = capsys.readouterr()
         assert out == ""
         last = text.count("\n") + 1
@@ -375,6 +430,15 @@ class TestExtremeInputs:
         assert err == "error: offset must be finite, got inf\n"
 
 
+def test_memory_error_is_one_error_line(monkeypatch, capsys):
+    def exhaust(path):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "load_hamiltonian", exhaust)
+    assert run_cli("group", "h.txt", "--k", "1") == 1
+    assert capsys.readouterr() == ("", "error: out of memory\n")
+
+
 @pytest.mark.skipif(resource is None, reason="needs resource.setrlimit")
 @pytest.mark.parametrize("k", ["1", "99999999999"])
 def test_out_of_memory_is_one_error_line(tmp_path, k):
@@ -420,6 +484,96 @@ def _assert_out_of_memory(argv):
     assert result.returncode == 1
     assert result.stdout == ""
     assert result.stderr == "error: out of memory\n"
+
+
+# Fragments of malformed input. Widths and indices stay small, so that no
+# case asks for a large BlockSpec; wide inputs have their own tests above.
+_HEADERS = ["qubits: 0", "qubits: -2", "qubits: x", "qubits:", "QUBITS: 2",
+            "qubits: 2 3", "qubits: 1.5", "# comment", ""]
+_COEFFICIENTS = ["1.0", "-2", "0.5", "0", "1e308", "1e-320"]
+_BAD_COEFFICIENTS = ["nan", "inf", "-inf", "abc", "1e999", "0x10", "--1", ""]
+_BAD_SPARSE = ["X", "Z-1", "W2", "x1", "X 0", "Y9"]
+
+
+def _malformed_terms(rng: random.Random) -> str:
+    """Mostly well-formed lines on a width of 1 to 4, each broken at a
+    per-file rate, so that some files load and reach grouping."""
+    n = rng.randint(1, 4)
+    broken = rng.choice([0.0, 0.05, 0.2, 0.5])
+    lines = []
+    if rng.random() < 0.7:
+        lines.append(rng.choice(_HEADERS) if rng.random() < broken else f"qubits: {n}")
+    for _ in range(rng.randint(1, 8)):
+        coefficient = rng.choice(_COEFFICIENTS)
+        if rng.random() < 0.5:
+            pauli = "".join(rng.choice("IXYZ") for _ in range(n))
+        else:
+            sparse = rng.sample(range(n), rng.randint(1, n))
+            pauli = " ".join(f"{rng.choice('XYZ')}{q}" for q in sparse)
+        if rng.random() < broken:
+            coefficient, pauli = rng.choice([
+                (rng.choice(_BAD_COEFFICIENTS), pauli),
+                (coefficient, pauli + rng.choice(["Q", "I", " Z"])),
+                (coefficient, rng.choice(_BAD_SPARSE)),
+                (coefficient, ""),
+                (rng.choice(_HEADERS), ""),
+            ])
+        lines.append(f"{coefficient} {pauli}".strip())
+    return "\n".join(lines) + "\n"
+
+
+_BAD_GATE_KINDS = ["T", "h", "cnot", "qubits:", "#H"]
+_BAD_GATE_ARGS = ["-1", "x", "1.5", "", "9999999999"]
+
+
+def _malformed_circuit(rng: random.Random) -> str:
+    """Mostly well-formed gates on 1 to 4 qubits, broken at a per-text rate."""
+    n = rng.randint(1, 4)
+    broken = rng.choice([0.0, 0.1, 0.3])
+    lines = [rng.choice(_HEADERS + ["H 0"]) if rng.random() < broken else f"qubits: {n}"]
+    for _ in range(rng.randrange(6)):
+        kind = rng.choice(["H", "S", "CNOT"])
+        args = [str(rng.randrange(n + 1)) for _ in range(2 if kind == "CNOT" else 1)]
+        if rng.random() < broken:
+            kind = rng.choice([kind, *_BAD_GATE_KINDS])
+            args = [rng.choice([*args, *_BAD_GATE_ARGS]) for _ in range(rng.randrange(4))]
+        lines.append(" ".join([kind, *args]))
+    return "\n".join(lines)
+
+
+class TestFuzz:
+    """Seeded malformed inputs: the CLI answers each with exit 0 or one
+    `error:` line and exit 1, never with a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["group", "--k", "2"], ["sweep", "--jobs", "1"], ["diag", "--k", "1"]],
+        ids=["group", "sweep", "diag"],
+    )
+    def test_malformed_term_files(self, tmp_path, capsys, argv):
+        rng = random.Random(" ".join(argv))
+        command, *options = argv
+        for case in range(300):
+            text = _malformed_terms(rng)
+            path = tmp_path / f"h{case}.txt"  # a fresh file: no truncate to flush
+            path.write_text(text)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                code = run_cli(command, str(path), *options)
+            err = capsys.readouterr().err
+            assert code in (0, 1), text
+            if code:
+                assert err.startswith("error: ") and err.count("\n") == 1, text
+
+    def test_malformed_circuit_text(self):
+        rng = random.Random(0)
+        for _ in range(1000):
+            text = _malformed_circuit(rng)
+            try:
+                circuit = circuit_from_text(text)
+            except ValueError:
+                continue
+            assert circuit_from_text(circuit_to_text(circuit)) == circuit
 
 
 class TestEntryPoint:

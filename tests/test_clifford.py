@@ -33,6 +33,19 @@ from pauliblocks import (
 )
 
 
+def replay(circuit: CliffordCircuit, x: int, z: int) -> tuple[int, int]:
+    """The (x, z) image of one string under the circuit, through `conjugate`."""
+    image = conjugate(circuit, PauliString(circuit.n_qubits, x, z))
+    return image.x_bits, image.z_bits
+
+
+def refuse(name: str):
+    def refuse_call(*args):
+        raise AssertionError(f"{name} used")
+
+    return refuse_call
+
+
 class TestGates:
     def test_cnot_needs_distinct_qubits(self):
         with pytest.raises(ValueError):
@@ -43,6 +56,11 @@ class TestGates:
             Gate("T", (0,))
         with pytest.raises(ValueError):
             Gate("H", (0, 1))
+
+    @pytest.mark.parametrize("kind, qubits", [("H", (-1,)), ("CNOT", (0, -2))])
+    def test_rejects_negative_index(self, kind, qubits):
+        with pytest.raises(ValueError, match="negative qubit index"):
+            Gate(kind, qubits)
 
     def test_circuit_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -113,6 +131,15 @@ class TestDiagonal:
 
 
 class TestTableau:
+    def test_needs_one_image_per_generator(self):
+        with pytest.raises(ValueError, match="one image per basis generator"):
+            Tableau(2, ((1, 0), (2, 0)), ((0, 1),))
+
+    def test_apply_rejects_width_mismatch(self):
+        tab = Tableau.from_circuit(CliffordCircuit(2, ()))
+        with pytest.raises(ValueError, match="qubit count mismatch"):
+            tab.apply(PauliString(3, 1, 0))
+
     @pytest.mark.parametrize("n", [1, 2, 4, 6])
     def test_random_circuits_are_symplectic(self, n):
         for seed in range(5):
@@ -180,25 +207,22 @@ class TestTableau:
         for seed in range(3):
             circ = random_circuit(n, rng.randrange(4 * n * n + 1), seed)
             tab = Tableau.from_circuit(circ)
-            assert tab.x_images == tuple(
-                clifford._replay(circ.gates, 1 << j, 0) for j in range(n)
-            )
-            assert tab.z_images == tuple(
-                clifford._replay(circ.gates, 0, 1 << j) for j in range(n)
-            )
+            assert tab.x_images == tuple(replay(circ, 1 << j, 0) for j in range(n))
+            assert tab.z_images == tuple(replay(circ, 0, 1 << j) for j in range(n))
 
     def test_built_without_the_row_replay(self, monkeypatch):
         # the tableau and conjugate() must stay two implementations of the
         # gate rules, so that diag's two checks are independent
         circ = random_circuit(5, 60, seed=7)
-        expected = [conjugate(circ, PauliString(5, 1 << j, 0)) for j in range(5)]
-
-        def refuse(*args):
-            raise AssertionError("row-wise replay used")
-
-        monkeypatch.setattr(clifford, "_apply_gate", refuse)
+        generators = [PauliString(5, 1 << j, 0) for j in range(5)]
+        with monkeypatch.context() as m:
+            m.setattr(clifford, "_apply_to_columns", refuse("column rules"))
+            images = [clifford.conjugate(circ, p) for p in generators]
+        monkeypatch.setattr(clifford, "conjugate", refuse("conjugate"))
         tab = Tableau.from_circuit(circ)
-        assert [PauliString(5, *img) for img in tab.x_images] == expected
+        assert [PauliString(5, *img) for img in tab.x_images] == images
+        assert [tab.apply(p) for p in generators] == images
+        assert tab.is_symplectic()
 
 
 class TestDiagonalizeGroup:
@@ -301,7 +325,7 @@ class TestDiagonalizeGroup:
 
 def row_wise_diagonalize_block(rows: list[list[int]], qubits: range) -> list[Gate]:
     """Reference synthesis: the elimination applied row by row, each emitted
-    gate replayed on every row not yet fixed through `clifford._apply_gate`,
+    gate replayed on every row not yet fixed through `conjugate`,
     independently of the column rules that the library uses."""
     gates: list[Gate] = []
     open_rows = list(rows)  # rows not yet fixed, in their original order
@@ -309,8 +333,9 @@ def row_wise_diagonalize_block(rows: list[list[int]], qubits: range) -> list[Gat
 
     def emit(gate: Gate) -> None:
         gates.append(gate)
+        step = CliffordCircuit(qubits.stop, (gate,))
         for row in open_rows:
-            row[0], row[1] = clifford._apply_gate(gate, row[0], row[1])
+            row[0], row[1] = replay(step, *row)
 
     for _ in range(len(rows)):
         candidate = -1
@@ -416,12 +441,10 @@ class TestSynthesisMatchesRowWiseReference:
         rng = random.Random(5)
         blocks = BlockSpec((3, 5, 4))
         members = random_block_commuting_set(rng, blocks, 12)
-        expected = reference_gates(members, blocks)
-
-        def refuse(*args):
-            raise AssertionError("row-wise replay used")
-
-        monkeypatch.setattr(clifford, "_apply_gate", refuse)
+        with monkeypatch.context() as m:
+            m.setattr(clifford, "_apply_to_columns", refuse("column rules"))
+            expected = reference_gates(members, blocks)
+        monkeypatch.setattr(clifford, "conjugate", refuse("conjugate"))
         assert diagonalize_group(members, blocks).gates == expected
 
     def test_anticommuting_rows_raise(self):
@@ -513,6 +536,11 @@ class TestDepthAndText:
     def test_text_requires_header(self):
         with pytest.raises(ValueError):
             circuit_from_text("H 0\n")
+
+    @pytest.mark.parametrize("n_qubits, n_gates", [(0, 1), (2, -1)])
+    def test_random_circuit_rejects_bad_arguments(self, n_qubits, n_gates):
+        with pytest.raises(ValueError, match="need n_qubits >= 1 and n_gates >= 0"):
+            random_circuit(n_qubits, n_gates, 0)
 
     def test_random_circuit_determinism(self):
         assert random_circuit(4, 10, 3) == random_circuit(4, 10, 3)

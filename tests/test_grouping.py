@@ -270,6 +270,8 @@ class TestValidityAndScore:
             Grouping.from_groups(h, blocks, [[0, 1], [2]])  # not a partition
         with pytest.raises(ValueError):
             Grouping.from_groups(h, blocks, [[0, 1], [2], [3], [3]])
+        with pytest.raises(ValueError, match="empty grouping"):
+            Grouping.from_groups(h, blocks, [])
 
     def test_r_hat_rejects_non_partition(self):
         h = worked_example()

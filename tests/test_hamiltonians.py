@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from conftest import folds_identity_if
 from pauliblocks import (
     BlockSpec,
     Hamiltonian,
@@ -42,6 +43,10 @@ class TestTypes:
     def test_hamiltonian_rejects_identity_terms(self):
         with pytest.raises(ValueError):
             Hamiltonian(2, (Term(1.0, PauliString.identity(2)),))
+
+    def test_hamiltonian_rejects_no_qubits(self):
+        with pytest.raises(ValueError, match="n_qubits must be positive"):
+            Hamiltonian(0, ())
 
     def test_hamiltonian_rejects_wrong_width(self):
         with pytest.raises(ValueError):
@@ -140,6 +145,10 @@ class TestTfim:
         with pytest.raises(ValueError):
             tfim(1)
 
+    def test_rejects_zero_couplings(self):
+        with pytest.raises(ValueError, match="both couplings are zero"):
+            tfim(3, j=0.0, g=0.0)
+
     @pytest.mark.parametrize("n", [sys.maxsize + 1, 10**23])
     def test_width_past_sys_maxsize_names_it(self, n):
         # checked before the first term, as wide as the chain, is built
@@ -166,6 +175,10 @@ class TestHardcoreBoson:
     def test_rejects_short_chain(self):
         with pytest.raises(ValueError):
             hardcore_boson_1d(1)
+
+    def test_rejects_zero_couplings(self):
+        with pytest.raises(ValueError, match="both couplings are zero"):
+            hardcore_boson_1d(3, t=0.0, g=0.0)
 
     def test_offset_overflow_is_rejected(self):
         # every coefficient, -2g and t/2, is finite; the offset 2gn is not
@@ -217,6 +230,11 @@ class TestRandomHamiltonian:
         assert len(weights) == 1000
         mean = sum(weights) / len(weights)
         assert 1.5 <= mean <= 3.0
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_rejects_no_qubits(self, n):
+        with pytest.raises(ValueError, match="n must be positive"):
+            random_hamiltonian(n, 2.0, seed=0)
 
     def test_rejects_bad_w(self):
         for w in (0.0, -1.0, float("inf"), float("nan")):
@@ -313,8 +331,9 @@ class TestFiles:
     def test_non_finite_coefficient_reports_number(self, tmp_path, text, line):
         path = tmp_path / "h.txt"
         path.write_text(text)
-        with pytest.raises(HamiltonianFileError, match=f"line {line}: .*finite"):
-            load_hamiltonian(path)
+        with folds_identity_if("II" in text):
+            with pytest.raises(HamiltonianFileError, match=f"line {line}: .*finite"):
+                load_hamiltonian(path)
 
     def test_huge_declared_width_loads(self, tmp_path):
         path = tmp_path / "h.txt"
@@ -337,6 +356,22 @@ class TestFiles:
         path = tmp_path / "h.txt"
         path.write_text(text)
         with pytest.raises(HamiltonianFileError, match="line 2: .*sys.maxsize"):
+            load_hamiltonian(path)
+
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            ("qubits: two", "cannot parse qubit count from 'qubits: two'"),
+            ("qubits:", "cannot parse qubit count"),
+            ("qubits: 0", "qubit count must be positive"),
+            ("qubits: -3", "qubit count must be positive"),
+        ],
+        ids=["word", "empty", "zero", "negative"],
+    )
+    def test_bad_header_reports_number(self, tmp_path, header, message):
+        path = tmp_path / "h.txt"
+        path.write_text(f"# top\n{header}\n1.0 X0\n")
+        with pytest.raises(HamiltonianFileError, match=f"line 2: {message}"):
             load_hamiltonian(path)
 
     def test_inconsistent_dense_lengths(self, tmp_path):

@@ -19,6 +19,7 @@ from pauliblocks import (
     parse_pauli,
     restrict,
 )
+from pauliblocks import paulis
 from pauliblocks.paulis import block_commutes_all, first_noncommuting_pair
 
 
@@ -90,6 +91,11 @@ class TestParse:
         with pytest.raises(ValueError, match="out of range"):
             PauliString(3, 0, -1)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_rejects_no_qubits(self, n):
+        with pytest.raises(ValueError, match="n_qubits must be positive"):
+            PauliString(n)
+
     def test_immutable(self):
         p = parse_pauli("XY", 2)
         for name in ("n_qubits", "x_bits", "z_bits", "_hash"):
@@ -140,8 +146,17 @@ class TestCommutes:
             assert commutes(paulis[i], paulis[j]) == matrices_commute(mats[i], mats[j])
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="qubit count mismatch: 1 vs 2"):
             commutes(parse_pauli("X", 1), parse_pauli("XX", 2))
+
+    def test_builds_no_block_spec(self, monkeypatch):
+        # one whole-string mask decides plain commutation, at any width
+        def refuse(*args):
+            raise AssertionError("BlockSpec built")
+
+        monkeypatch.setattr(paulis, "BlockSpec", refuse)
+        n = 10**6
+        assert not commutes(PauliString(n, 1 << (n - 1), 0), PauliString(n, 0, 1 << (n - 1)))
 
 
 class TestRestrict:
