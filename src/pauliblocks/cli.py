@@ -26,7 +26,7 @@ from .clifford import (
     is_diagonal,
     per_block_circuits,
 )
-from .grouping import _insertion, _terms
+from .grouping import random_insertion, sorted_insertion
 from .hamiltonians import (
     bacon_shor,
     hamiltonian_to_text,
@@ -141,7 +141,9 @@ def _require_seed(args) -> None:
 def _group_from_args(args, h):
     blocks = _blocks_from_args(args, h.n_qubits)
     _require_seed(args)
-    return blocks, _insertion(_terms(h), blocks, args.algorithm, args.seed)
+    if args.algorithm == "random":
+        return blocks, random_insertion(h, blocks, args.seed)
+    return blocks, sorted_insertion(h, blocks)
 
 
 def _cmd_group(args) -> int:

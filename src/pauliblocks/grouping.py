@@ -49,8 +49,10 @@ class Grouping:
         blocks: BlockSpec,
         groups: Iterable[Iterable[int]],
     ) -> "Grouping":
-        """Build a grouping from explicit index groups, validating it."""
+        """Build a grouping from explicit index groups, validating it before scoring."""
         frozen = tuple(tuple(g) for g in groups)
+        if frozen:  # no groups at all is refused by the score, as "empty grouping"
+            _require_partition(h, frozen)
         out = cls(blocks, frozen, _r_hat_of_groups(_terms(h), frozen))
         check_grouping(h, out)
         return out
@@ -309,19 +311,14 @@ def sorted_insertion(h: Hamiltonian, blocks: BlockSpec) -> Grouping:
     Ties in magnitude are broken by original term index, so the result is
     deterministic.
     """
-    return _insertion(_terms(h), blocks, "sorted", None)
+    t = _terms(h)
+    return _first_fit(t, blocks, _order(t, "sorted", None))
 
 
 def random_insertion(h: Hamiltonian, blocks: BlockSpec, seed: int) -> Grouping:
     """First-fit grouping over a seeded uniform random term order."""
-    return _insertion(_terms(h), blocks, "random", seed)
-
-
-def _insertion(
-    t: _Terms, blocks: BlockSpec, algorithm: str, seed: int | None
-) -> Grouping:
-    """Group with the named insertion: "sorted", or "random" with a seed."""
-    return _first_fit(t, blocks, _order(t, algorithm, seed))
+    t = _terms(h)
+    return _first_fit(t, blocks, _order(t, "random", seed))
 
 
 def _order(t: _Terms, algorithm: str, seed: int | None) -> list[int]:

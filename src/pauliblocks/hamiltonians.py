@@ -157,25 +157,16 @@ def bacon_shor(
     if n > sys.maxsize:
         raise ValueError(f"a {rows}x{cols} lattice has {n} qubits, more than sys.maxsize")
 
-    def index(r: int, c: int) -> int:
-        if ordering == "column_major":
-            return c * rows + r
-        return r * cols + c
-
-    raw: list[tuple[float, PauliString]] = []
-    for c in range(cols - 1):
-        x = 0
-        for r in range(rows):
-            x |= 1 << index(r, c)
-            x |= 1 << index(r, c + 1)
-        raw.append((1.0, PauliString(n, x, 0)))
-    for r in range(rows - 1):
-        z = 0
+    column = [0] * cols  # qubit mask of each lattice column
+    row = [0] * rows  # and of each lattice row
+    for r in range(rows):
         for c in range(cols):
-            z |= 1 << index(r, c)
-            z |= 1 << index(r + 1, c)
-        raw.append((1.0, PauliString(n, 0, z)))
-    return Hamiltonian(n, tuple(Term(c, p) for c, p in raw))
+            bit = 1 << (c * rows + r if ordering == "column_major" else r * cols + c)
+            column[c] |= bit
+            row[r] |= bit
+    terms = [Term(1.0, PauliString(n, column[c] | column[c + 1], 0)) for c in range(cols - 1)]
+    terms += [Term(1.0, PauliString(n, 0, row[r] | row[r + 1])) for r in range(rows - 1)]
+    return Hamiltonian(n, tuple(terms))
 
 
 def _require_chain(n: int) -> None:
@@ -267,9 +258,10 @@ def random_hamiltonian(n: int, w: float, seed: int) -> Hamiltonian:
 def load_hamiltonian(path) -> Hamiltonian:
     """Read a term-list file.
 
-    Format: UTF-8 text, '#' lines are comments, the first non-comment line
-    may be "qubits: n", and each remaining line is "<coefficient> <pauli>"
-    with a finite coefficient and the Pauli in dense or sparse notation.
+    Format: UTF-8 text, with or without a byte-order mark; '#' lines are
+    comments, the first non-comment line may be "qubits: n", and each
+    remaining line is "<coefficient> <pauli>" with a finite coefficient and
+    the Pauli in dense or sparse notation.
     Without the header, n is inferred as the largest dense length or sparse
     index + 1, and every dense line must then have exactly that length.
 
@@ -280,7 +272,7 @@ def load_hamiltonian(path) -> Hamiltonian:
             identity lines whose offset overflows (message includes the
             1-based line number), or empty file.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         lines = fh.readlines()
 
     entries: list[tuple[int, float, str]] = []

@@ -610,7 +610,9 @@ class TestRelationClasses:
         rows = []
         for k in ks:
             blocks = BlockSpec.uniform(k, h.n_qubits)
-            grouping = grouping_module._insertion(t, blocks, algorithm, seed)
+            grouping = grouping_module._first_fit(
+                t, blocks, grouping_module._order(t, algorithm, seed)
+            )
             rows.append(SweepRow(k, grouping.num_groups, grouping.r_hat))
         return rows
 
@@ -652,7 +654,9 @@ class TestRelationClasses:
                 blocks = BlockSpec.uniform(k, h.n_qubits)
                 relations.add(tuple(k_commutes(p, q, blocks) for p, q in pairs))
                 for algorithm, seed in (("sorted", None), ("random", 6)):
-                    grouping = grouping_module._insertion(t, blocks, algorithm, seed)
+                    grouping = grouping_module._first_fit(
+                        t, blocks, grouping_module._order(t, algorithm, seed)
+                    )
                     groups.add((algorithm, grouping.groups))
             assert len(relations) == 1, cls
             assert len(groups) == 2, cls

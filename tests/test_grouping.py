@@ -272,6 +272,10 @@ class TestValidityAndScore:
             Grouping.from_groups(h, blocks, [[0, 1], [2], [3], [3]])
         with pytest.raises(ValueError, match="empty grouping"):
             Grouping.from_groups(h, blocks, [])
+        # checked as a partition before the score indexes or divides by them
+        for groups in ([[0, 99]], [[]], [[0.5]]):
+            with pytest.raises(ValueError, match="partition"):
+                Grouping.from_groups(tfim(4), BlockSpec.uniform(2, 4), groups)
 
     def test_r_hat_rejects_non_partition(self):
         h = worked_example()

@@ -275,6 +275,14 @@ class TestFiles:
             (-1.5, "IIYI"),
         ]
 
+    @pytest.mark.parametrize("text", ["qubits: 4\n0.5 X0 Z3\n", "1.0 XZ\n-0.5 YI\n"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, text):
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text("\ufeff" + text, encoding="utf-8")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert load_hamiltonian(marked) == load_hamiltonian(plain)
+
     def test_zero_coefficient_dropped_with_warning(self, tmp_path):
         path = tmp_path / "h.txt"
         path.write_text("0.0 XX\n1.0 ZZ\n")

@@ -3,9 +3,13 @@ shrink it without changing this list."""
 
 from __future__ import annotations
 
+import ast
+import re
 import types
+from pathlib import Path
 
 import pauliblocks
+from pauliblocks import cli
 
 # every name `import pauliblocks` exposes that is neither private nor a module
 PUBLIC = [
@@ -30,3 +34,34 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
     assert names == PUBLIC
+
+
+def test_cli_imports_no_private_name_from_the_package():
+    """The command line reaches the package through its public functions."""
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    imported = []  # the dotted path of every name cli.py takes from the package
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level or node.module.startswith("pauliblocks")
+        ):
+            imported += [f"{node.module or ''}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [a.name for a in node.names if a.name.startswith("pauliblocks")]
+    assert imported, "found no import from the package"
+    private = [p for p in imported if any(s.startswith("_") for s in p.split("."))]
+    assert private == []
+
+
+def test_readme_library_quickstart_runs_as_written(capsys):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = re.search(
+        r"## Library quickstart\n\n```python\n(.*?)```",
+        readme.read_text(encoding="utf-8"),
+        re.S,
+    ).group(1)
+    namespace: dict = {}
+    exec(compile(block, str(readme), "exec"), namespace)
+    h, grouping = namespace["h"], namespace["grouping"]
+    assert (h.num_terms, h.n_qubits) == (6, 16)
+    assert grouping.num_groups == 1
+    assert capsys.readouterr().out == "KStarResult(k_star_rhat=4, k_star_groups=4)\n"
