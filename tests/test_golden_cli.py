@@ -243,6 +243,12 @@ CASES = {
         "kstar", "random", "--sizes", "5,8,11", "--w", "2.5", "--seed", "31",
         "--seeds", "4", "--jobs", "3",
     ),
+    # 9 * (128^2 + 192^2 + 256^2) = 1,069,056 units of work: past the
+    # threshold, so this scan runs on a real pool
+    "kstar_random_pooled": _case(
+        "kstar", "random", "--sizes", "128,192,256", "--seeds", "9", "--seed", "0",
+        "--jobs", "2",
+    ),
     # error lines
     "error_group_no_seed": _case(
         "group", "mixed.txt", "--k", "2", "--algorithm", "random", files=_M
