@@ -72,19 +72,30 @@ class ScalingRow(_Row):
     num_seeds: int | None = None
 
 
-def _map(fn: Callable, items: list, jobs: int) -> list:
+# Below this much work a pool costs more CPU than it saves wall time. On 2
+# cores (Python 3.11, fork), importing the pool took about 13 ms of CPU,
+# and starting and stopping two idle workers about 30 ms more. The work
+# count is a deterministic estimate from the caller, so the same arguments
+# take the same path on every machine.
+_POOL_MIN_WORK = 1_000_000
+
+
+def _map(fn: Callable, items: list, jobs: int, work: int) -> list:
     """[fn(item) for item in items], on up to `jobs` worker processes when
-    jobs > 1 and there is more than one item. No more workers start than
-    there are items: under fork the pool starts all of them up front. The
-    pool is imported only here: importing it loads multiprocessing, which
-    serial runs need not."""
+    jobs > 1, there is more than one item and `work` reaches
+    `_POOL_MIN_WORK`. No more workers start than there are items: under
+    fork the pool starts all of them up front. Each worker takes the items
+    in chunks, about four per worker. The pool is imported only here:
+    importing it loads multiprocessing, which serial runs need not."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    if jobs > 1 and len(items) > 1:
+    if jobs > 1 and len(items) > 1 and work >= _POOL_MIN_WORK:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
-            return list(pool.map(fn, items))
+        workers = min(jobs, len(items))
+        chunksize = math.ceil(len(items) / (4 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, items, chunksize=chunksize))
     return [fn(item) for item in items]
 
 
@@ -118,7 +129,8 @@ def k_sweep(
     per-block diagonalization sub-circuit (gate count and greedy-layering
     depth) over that row's groups, synthesized under that row's own blocks.
     Only that synthesis runs on worker processes, one cell per k on up to
-    `jobs` of them; a sweep without circuits starts none.
+    `jobs` of them, and only when len(ks) * n_qubits * num_terms reaches
+    `_POOL_MIN_WORK`; a sweep without circuits starts none.
     """
     ks = sorted(set(int(k) for k in ks))
     if not ks:
@@ -134,7 +146,8 @@ def k_sweep(
     if not with_circuits:
         return [SweepRow(k, len(groups), r_hat) for k, groups, r_hat in swept]
     cells = [(t.n_qubits, t.xs, t.zs, k, groups) for k, groups, _ in swept]
-    circuits = _map(_circuit_cell, cells, jobs)
+    work = len(ks) * t.n_qubits * len(t.xs)  # every term, per qubit, per k
+    circuits = _map(_circuit_cell, cells, jobs, work)
     return [SweepRow(k, len(g), r, *c) for (k, g, r), c in zip(swept, circuits)]
 
 
@@ -174,7 +187,9 @@ def k_star_scaling(
     row carries exact thresholds. For a randomized family pass `seeds`;
     `factory(n, seed)` builds each instance and rows carry the mean and
     population standard deviation over the seeds. A repeated size gives
-    one row, at its first position.
+    one row, at its first position. The instances run on up to `jobs`
+    worker processes only when seeds-per-size * sum(n^2) reaches
+    `_POOL_MIN_WORK`.
     """
     sizes = list(dict.fromkeys(int(n) for n in sizes))
     if not sizes:
@@ -184,7 +199,9 @@ def k_star_scaling(
         raise ValueError("empty seed list")
     per_size = [None] if seed_list is None else seed_list
     cells = [(factory, n, seed, rel_tol) for n in sizes for seed in per_size]
-    results = _map(_scaling_cell, cells, jobs)
+    # a sweep of an n-qubit instance runs n block sizes over n qubits
+    work = len(per_size) * sum(n * n for n in sizes)
+    results = _map(_scaling_cell, cells, jobs, work)
 
     rows = []
     for i, n in enumerate(sizes):

@@ -248,7 +248,16 @@ def build_parser() -> argparse.ArgumentParser:
     family.add_argument("--t", type=float, default=2.0, help="hopping (hardcore-boson)")
     family.add_argument("--w", type=float, default=2.0, help="mean term weight (random)")
     table = options()
-    table.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    table.add_argument(
+        "--jobs",
+        type=int,
+        default=os.cpu_count() or 1,
+        help=(
+            "worker processes (default: all cores), started only from "
+            "1,000,000 units of work: seeds * sum(n^2) for kstar, "
+            "block sizes * qubits * terms for sweep --with-circuits"
+        ),
+    )
     table.add_argument("--format", choices=("csv", "json"), default="csv")
     out = options()
     out.add_argument("--out", help="output path (default stdout)")

@@ -13,7 +13,9 @@ all equal-magnitude terms share one group.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
@@ -183,10 +185,11 @@ def _relation_classes(cuts: Sequence[tuple[int, int]], ks: Sequence[int]) -> lis
 
 
 def _column_fit(
-    antis: Sequence[list[tuple[int, int]]], order: Sequence[int], blocks: BlockSpec
+    antis: Sequence[list[tuple[int, int]]], order: Sequence[int], home: Sequence[int]
 ) -> tuple[tuple[int, ...], ...]:
-    """The groups `_first_fit` makes under `blocks`, any contiguous
-    partition, one group at a time on the antis of `_anti_table(t, order)`.
+    """The groups `_first_fit` makes under any contiguous partition, given
+    as its `BlockSpec.home`, one group at a time on the antis of
+    `_anti_table(t, order)`.
 
     A group takes the lowest remaining rank and drops from its candidates
     every term that fails to block-commute with it, then takes the lowest
@@ -197,7 +200,6 @@ def _column_fit(
     over blocks of the XOR of its columns in that block. The antis run in
     increasing qubit order, so each block's columns are consecutive.
     """
-    home = blocks.home
     groups = []
     remaining = (1 << len(order)) - 1
     while remaining:
@@ -235,11 +237,18 @@ def _sweep_groups(
     antis, cuts = _anti_table(t, order)
     out = []
     for ks_alike in _relation_classes(cuts, ks):
-        blocks = BlockSpec.uniform(ks_alike[0], t.n_qubits)
-        groups = _column_fit(antis, order, blocks)
+        home = _uniform_home(ks_alike[0], t.n_qubits)
+        groups = _column_fit(antis, order, home)
         r_hat = _r_hat_of_groups(t, groups)
         out.extend((k, groups, r_hat) for k in ks_alike)
     return sorted(out, key=lambda swept: swept[0])
+
+
+# A k* scan sweeps many instances of each width, so the same block sizes
+# recur; each entry holds one tuple of n ints, and at most 128 are kept.
+@functools.lru_cache(maxsize=128)
+def _uniform_home(k: int, n_qubits: int) -> tuple[int, ...]:
+    return BlockSpec.uniform(k, n_qubits).home
 
 
 def _r_hat_of_groups(t: _Terms, groups: Sequence[Sequence[int]]) -> float:
@@ -262,8 +271,13 @@ def r_hat(h: Hamiltonian, grouping: Grouping) -> float:
 
 
 def _require_partition(h: Hamiltonian, groups: Sequence[Sequence[int]]) -> None:
-    flat = [i for g in groups for i in g]
-    if len(flat) != h.num_terms or set(flat) != set(range(h.num_terms)):
+    # operator.index takes ints and numpy integers but refuses a float, which
+    # would pass the set comparison and then fail as a list index
+    try:
+        flat = [operator.index(i) for g in groups for i in g]
+    except TypeError:
+        flat = None
+    if flat is None or len(flat) != h.num_terms or set(flat) != set(range(h.num_terms)):
         raise ValueError("groups do not form a partition of the term indices")
 
 

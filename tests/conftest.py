@@ -3,6 +3,7 @@ report hook."""
 
 from __future__ import annotations
 
+import concurrent.futures
 import contextlib
 import signal
 from functools import reduce
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from pauliblocks import CliffordCircuit, Gate, PauliString
-from pauliblocks import grouping
+from pauliblocks import analysis, grouping
 
 # ---------------------------------------------------------------------------
 # Dense-matrix oracles, independent of the bit-vector implementation.
@@ -100,13 +101,53 @@ def deadline(monkeypatch):
     monkeypatch.setattr(
         grouping,
         "_column_fit",
-        lambda antis, order, blocks: real(antis, _ReadOnce(order), blocks),
+        lambda antis, order, home: real(antis, _ReadOnce(order), home),
     )
     previous = signal.signal(signal.SIGALRM, expire)
     signal.alarm(20)
     yield
     signal.alarm(0)
     signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def pool_at_any_work(monkeypatch):
+    """Let `analysis._map` start its pool however little work it is handed,
+    so that small inputs exercise the pooled path."""
+    monkeypatch.setattr(analysis, "_POOL_MIN_WORK", 0)
+
+
+class _PoolRecord:
+    def __init__(self):
+        self.started = []  # max_workers of every pool; no process is started
+        self.handed = []  # the items each pool's map got
+        self.chunks = []  # the chunksize each pool's map got
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """Replace the process pool with one that runs its items in this
+    process and records what `analysis._map` asked of it."""
+    record = _PoolRecord()
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            record.started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            items = list(items)
+            record.handed.append(items)
+            record.chunks.append(chunksize)
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return record
 
 
 # ---------------------------------------------------------------------------

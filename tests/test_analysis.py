@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import concurrent.futures
 import functools
 import itertools
 import math
@@ -371,7 +370,9 @@ class TestSweep:
         ids=["bacon-shor", "tfim", "hardcore-boson", "random"],
     )
     @pytest.mark.parametrize("algorithm, seed", [("sorted", None), ("random", 6)])
-    def test_circuit_columns_match_whole_circuit_round_trip(self, h, algorithm, seed):
+    def test_circuit_columns_match_whole_circuit_round_trip(
+        self, pool_at_any_work, h, algorithm, seed
+    ):
         ks = range(1, h.n_qubits + 1)
         expected = self.round_trip_rows(h, ks, algorithm, seed)
         for jobs in (1, 2):
@@ -393,7 +394,7 @@ class TestSweep:
         monkeypatch.setattr(analysis_module, "per_block_circuits", refuse, raising=False)
         assert k_sweep(h, range(1, 13), with_circuits=True, jobs=1) == expected
 
-    def test_parallel_matches_serial(self):
+    def test_parallel_matches_serial(self, pool_at_any_work):
         h = random_hamiltonian(10, 2.0, seed=5)
         serial = k_sweep(h, range(1, 11), jobs=1)
         parallel = k_sweep(h, range(1, 11), jobs=4)
@@ -403,24 +404,8 @@ class TestSweep:
         parallel = k_sweep(h, range(1, 11), with_circuits=True, jobs=2)
         assert serial == parallel
 
-    def test_pool_starts_no_more_workers_than_cells(self, monkeypatch):
-        started = []  # max_workers of every pool; no process is started
-        handed = []  # the cells each pool's map got
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                items = list(items)
-                handed.append(items)
-                return map(fn, items)
+    def test_pool_starts_no_more_workers_than_cells(self, pool_at_any_work, recording_pool):
+        started, handed = recording_pool.started, recording_pool.handed
 
         def assert_cells_hold_only_groups(h, ks):
             # the term bitmaps, k and k's groups, in k order: no row of the
@@ -431,7 +416,6 @@ class TestSweep:
                 assert (n, xs, zs) == (h.n_qubits, t.xs, t.zs)
                 assert groups == sorted_insertion(h, BlockSpec.uniform(k, n)).groups
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         # grouping runs in this process at any jobs: in the hardcore-boson
         # chain every k is a class of its own, and still no pool starts
         h = hardcore_boson_1d(6)
@@ -460,6 +444,51 @@ class TestSweep:
         assert k_star_scaling(tfim, [4, 5, 6], jobs=8) == k_star_scaling(tfim, [4, 5, 6])
         assert started == [2, 3, 4, 3, 3]
         assert [len(cells) for cells in handed] == [2, 6, 6, 6, 3]
+        # under four cells per worker, each cell goes out on its own
+        assert recording_pool.chunks == [1, 1, 1, 1, 1]
+
+    def test_pool_starts_at_the_work_threshold(self, recording_pool):
+        least = analysis_module._POOL_MIN_WORK
+        assert least == 1_000_000
+        items = list(range(41))
+        negated = [-i for i in items]
+        assert analysis_module._map(operator.neg, items, 2, least - 1) == negated
+        assert recording_pool.started == []
+        assert analysis_module._map(operator.neg, items, 2, least) == negated
+        assert recording_pool.started == [2]
+        # about four chunks per worker: ceil(41 / (4 * 2)) items each
+        assert recording_pool.chunks == [6]
+        # one item or one job starts no pool, however much work
+        assert analysis_module._map(operator.neg, [3], 8, 10 * least) == [-3]
+        assert analysis_module._map(operator.neg, items, 1, 10 * least) == negated
+        assert recording_pool.started == [2]
+        # no more workers than items, and then one item per chunk
+        assert analysis_module._map(operator.neg, items[:5], 64, least) == negated[:5]
+        assert recording_pool.started == [2, 5]
+        assert recording_pool.chunks == [6, 1]
+
+    def test_work_counts(self, monkeypatch):
+        counts = []  # (cell function, cell count, work) of every map
+
+        def recording_map(fn, items, jobs, work):
+            counts.append((fn.__name__, len(items), work))
+            return real(fn, items, jobs, work)
+
+        real = analysis_module._map
+        monkeypatch.setattr(analysis_module, "_map", recording_map)
+        # a k* scan: per instance, n block sizes over n qubits
+        k_star_scaling(tfim, [4, 6, 4], jobs=2)
+        random_w2 = lambda n, seed: random_hamiltonian(n, 2.0, seed)  # noqa: E731
+        k_star_scaling(random_w2, [5, 6], seeds=range(3), jobs=2)
+        # a circuit sweep: every term, per qubit, per distinct k
+        h = random_hamiltonian(10, 2.0, seed=5)
+        k_sweep(h, [1, 3, 3, 7], with_circuits=True, jobs=2)
+        k_sweep(h, [1, 3], jobs=2)  # without circuits, nothing is mapped
+        assert counts == [
+            ("_scaling_cell", 2, 4 * 4 + 6 * 6),
+            ("_scaling_cell", 6, 3 * (5 * 5 + 6 * 6)),
+            ("_circuit_cell", 3, 3 * 10 * h.num_terms),
+        ]
 
     def test_serial_sweep_builds_one_anticommutation_table(self, monkeypatch):
         h = hardcore_boson_1d(6)
@@ -542,10 +571,11 @@ class TestSweep:
 # re-import the script, so the read-bounded order of `deadline` is installed
 # at module level: a column fit that accepts a term twice fails in any process.
 POOLED_SCRIPT = """\
+import concurrent.futures
 import multiprocessing
 import sys
 
-from pauliblocks import grouping, k_star_scaling, k_sweep, random_hamiltonian, tfim
+from pauliblocks import analysis, grouping, k_star_scaling, k_sweep, random_hamiltonian, tfim
 
 
 class ReadOnce(list):
@@ -559,7 +589,16 @@ class ReadOnce(list):
 
 
 real_fit = grouping._column_fit
-grouping._column_fit = lambda antis, order, blocks: real_fit(antis, ReadOnce(order), blocks)
+grouping._column_fit = lambda antis, order, home: real_fit(antis, ReadOnce(order), home)
+# these inputs are far below the work a pool pays for: start one anyway
+analysis._POOL_MIN_WORK = 0
+started = []  # max_workers of every pool started
+
+
+class CountingPool(concurrent.futures.ProcessPoolExecutor):
+    def __init__(self, max_workers):
+        started.append(max_workers)
+        super().__init__(max_workers)
 
 
 def random_w2(n, seed):
@@ -568,6 +607,7 @@ def random_w2(n, seed):
 
 if __name__ == "__main__":
     multiprocessing.set_start_method(sys.argv[1])
+    concurrent.futures.ProcessPoolExecutor = CountingPool
     h = random_hamiltonian(10, 3.0, seed=2)  # nine classes of block sizes
     for circuits in (False, True):
         serial = k_sweep(h, range(1, 11), with_circuits=circuits, jobs=1)
@@ -576,6 +616,7 @@ if __name__ == "__main__":
     assert k_star_scaling(tfim, [4, 5, 6], jobs=2) == serial
     serial = k_star_scaling(random_w2, [5, 6], seeds=range(3))
     assert k_star_scaling(random_w2, [5, 6], seeds=range(3), jobs=2) == serial
+    assert started == [2, 2, 2]  # the circuit sweep and both scans
     print(multiprocessing.get_start_method())
 """
 
@@ -618,7 +659,9 @@ class TestRelationClasses:
 
     @pytest.mark.parametrize("name", list(SWEEP_CORPUS))
     @pytest.mark.parametrize("algorithm, seed", [("sorted", None), ("random", 6)])
-    def test_sweep_matches_independent_grouping_at_every_k(self, name, algorithm, seed):
+    def test_sweep_matches_independent_grouping_at_every_k(
+        self, pool_at_any_work, name, algorithm, seed
+    ):
         h = SWEEP_CORPUS[name]
         ks = range(1, h.n_qubits + 1)
         for with_circuits in (False, True):
@@ -662,11 +705,11 @@ class TestRelationClasses:
             assert len(groups) == 2, cls
 
     def test_tfim_groups_once(self, monkeypatch):
-        calls = []  # the blocks of every grouping run
+        calls = []  # the block index of every grouping run
 
-        def counting(antis, order, blocks):
-            calls.append(blocks)
-            return real(antis, order, blocks)
+        def counting(antis, order, home):
+            calls.append(home)
+            return real(antis, order, home)
 
         real = grouping_module._column_fit
         monkeypatch.setattr(grouping_module, "_column_fit", counting)

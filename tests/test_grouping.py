@@ -9,6 +9,7 @@ import operator
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -277,6 +278,22 @@ class TestValidityAndScore:
             with pytest.raises(ValueError, match="partition"):
                 Grouping.from_groups(tfim(4), BlockSpec.uniform(2, 4), groups)
 
+    def test_partition_indices_must_be_integers(self):
+        h, blocks = tfim(4), BlockSpec.uniform(2, 4)
+        valid = sorted_insertion(h, blocks).groups
+        # a float equal to an index is refused as a partition, not as a list index
+        floats = [tuple(float(i) for i in g) for g in valid]
+        with pytest.raises(ValueError, match="partition"):
+            Grouping.from_groups(h, blocks, floats)
+        with pytest.raises(ValueError, match="partition"):
+            r_hat(h, Grouping(blocks, tuple(floats), 1.0))
+        with pytest.raises(ValueError, match="partition"):
+            check_grouping(h, Grouping(blocks, tuple(floats), 1.0))
+        # anything with __index__ is an index, numpy integers among them
+        for to_index in (np.int64, np.uint8, Index):
+            g = Grouping.from_groups(h, blocks, [[to_index(i) for i in g] for g in valid])
+            assert g.r_hat == sorted_insertion(h, blocks).r_hat
+
     def test_r_hat_rejects_non_partition(self):
         h = worked_example()
         blocks = BlockSpec.uniform(1, 2)
@@ -294,6 +311,16 @@ class TestValidityAndScore:
         assert d["groups"] == [[0, 1], [2], [3]]
         assert d["num_groups"] == 3
         assert d["r_hat"] == pytest.approx(g.r_hat)
+
+
+class Index:
+    """An integer-like object that is no int: only `__index__` makes it one."""
+
+    def __init__(self, i):
+        self.i = i
+
+    def __index__(self):
+        return self.i
 
 
 def sparse_hamiltonian(n: int, count: int, seed: int) -> Hamiltonian:
@@ -337,7 +364,7 @@ class TestColumnFit:
         for k in range(1, h.n_qubits + 1):
             blocks = BlockSpec.uniform(k, h.n_qubits)
             expected = grouping_module._first_fit(t, blocks, order).groups
-            assert grouping_module._column_fit(antis, order, blocks) == expected, k
+            assert grouping_module._column_fit(antis, order, blocks.home) == expected, k
 
     @pytest.mark.parametrize("name", list(COLUMN_FIT_CORPUS))
     @pytest.mark.parametrize("algorithm, seed", [("sorted", None), ("random", 6)])
@@ -354,7 +381,7 @@ class TestColumnFit:
             cuts = [q for q in range(1, n) if rng.random() < density]
             blocks = BlockSpec([b - a for a, b in zip([0, *cuts], [*cuts, n])])
             expected = grouping_module._first_fit(t, blocks, order).groups
-            assert grouping_module._column_fit(antis, order, blocks) == expected, blocks
+            assert grouping_module._column_fit(antis, order, blocks.home) == expected, blocks
 
     def test_columns_in_rank_space(self):
         h = Hamiltonian(3, tuple(
@@ -391,7 +418,7 @@ class TestColumnFit:
         for k, groups in expected.items():
             blocks = BlockSpec.uniform(k, 3)
             assert grouping_module._first_fit(t, blocks, t.order).groups == groups
-            assert grouping_module._column_fit(antis, t.order, blocks) == groups
+            assert grouping_module._column_fit(antis, t.order, blocks.home) == groups
 
     def test_antis_hold_the_columns_own_ints(self, monkeypatch):
         built = []  # the columns the table is read from
@@ -408,6 +435,23 @@ class TestColumnFit:
         pairs = [pair for anti in antis for pair in anti]
         assert len(pairs) > len(antis)
         assert all(any(a is c for c in cols[q]) for q, a in pairs)
+
+    def test_sweeps_share_uniform_block_indices(self):
+        # a k* scan sweeps one width many times: each class's block indices
+        # come from a bounded cache, equal to the uniform BlockSpec's own
+        home = grouping_module._uniform_home
+        assert home.cache_info().maxsize == 128
+        for n in (1, 7, 40):
+            for k in range(1, n + 1):
+                assert home(k, n) == BlockSpec.uniform(k, n).home
+        home.cache_clear()
+        t = grouping_module._terms(random_hamiltonian(12, 2.0, seed=3))
+        first = grouping_module._sweep_groups(t, t.order, range(1, 13))
+        _, cuts = grouping_module._anti_table(t, t.order)
+        built = home.cache_info().misses
+        assert built == len(grouping_module._relation_classes(cuts, range(1, 13))) > 1
+        assert grouping_module._sweep_groups(t, t.order, range(1, 13)) == first
+        assert home.cache_info().misses == built
 
     def test_sweep_memory_is_linear_in_the_term_count(self, deadline):
         # the table holds references to the qubit columns, not a mask over
