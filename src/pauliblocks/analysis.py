@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Sequence
 
 from .clifford import _block_gate_lists, _depth
-from .grouping import _order, _sweep_groups, _terms
+from .grouping import _anti_table, _order, _relation_classes, _sweep_groups, _terms
 from .hamiltonians import Hamiltonian
 from .paulis import BlockSpec, PauliString, block_commutes_all, restrict
 
@@ -72,24 +72,28 @@ class ScalingRow(_Row):
     num_seeds: int | None = None
 
 
-# Below this much work a pool costs more CPU than it saves wall time. On 2
-# cores (Python 3.11, fork), importing the pool took about 13 ms of CPU,
-# and starting and stopping two idle workers about 30 ms more. The work
-# count is a deterministic estimate from the caller, so the same arguments
-# take the same path on every machine.
+# A pool starts only for about 0.1 s of serial work or more: on 2 cores
+# (Python 3.11, fork) importing it took about 19 ms of CPU and starting and
+# stopping two workers about 9 ms more, so below that it gives up some wall
+# time to save that CPU. Work is counted in steps of about 0.1 us there,
+# estimated by each caller from what its cells will do before any runs, so
+# the same arguments take the same path on every machine.
 _POOL_MIN_WORK = 1_000_000
 
 
-def _map(fn: Callable, items: list, jobs: int, work: int) -> list:
+def _map(fn: Callable, items: list, jobs: int, work: Iterable[int]) -> list:
     """[fn(item) for item in items], on up to `jobs` worker processes when
-    jobs > 1, there is more than one item and `work` reaches
-    `_POOL_MIN_WORK`. No more workers start than there are items: under
-    fork the pool starts all of them up front. Each worker takes the items
-    in chunks, about four per worker. The pool is imported only here:
-    importing it loads multiprocessing, which serial runs need not."""
+    jobs > 1, there is more than one item and the estimated steps of all the
+    items reach `_POOL_MIN_WORK`. `work` yields them in parts, which are
+    counted only then and only until their sum reaches it, so a caller can
+    yield its costliest parts first. No more workers start than there are
+    items: under fork the pool starts all of them up front. Each worker
+    takes the items in chunks, about four per worker. The pool is imported
+    only here: importing it loads multiprocessing, which serial runs need
+    not."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    if jobs > 1 and len(items) > 1 and work >= _POOL_MIN_WORK:
+    if jobs > 1 and len(items) > 1 and _reaches(work, _POOL_MIN_WORK):
         from concurrent.futures import ProcessPoolExecutor
 
         workers = min(jobs, len(items))
@@ -97,6 +101,15 @@ def _map(fn: Callable, items: list, jobs: int, work: int) -> list:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, items, chunksize=chunksize))
     return [fn(item) for item in items]
+
+
+def _reaches(parts: Iterable[int], least: int) -> bool:
+    total = 0
+    for part in parts:
+        total += part
+        if total >= least:
+            return True
+    return total >= least
 
 
 def _circuit_cell(args) -> tuple[int, int]:
@@ -129,8 +142,8 @@ def k_sweep(
     per-block diagonalization sub-circuit (gate count and greedy-layering
     depth) over that row's groups, synthesized under that row's own blocks.
     Only that synthesis runs on worker processes, one cell per k on up to
-    `jobs` of them, and only when len(ks) * n_qubits * num_terms reaches
-    `_POOL_MIN_WORK`; a sweep without circuits starts none.
+    `jobs` of them, and only when the synthesis is estimated to take
+    `_POOL_MIN_WORK` steps; a sweep without circuits starts none.
     """
     ks = sorted(set(int(k) for k in ks))
     if not ks:
@@ -146,7 +159,10 @@ def k_sweep(
     if not with_circuits:
         return [SweepRow(k, len(groups), r_hat) for k, groups, r_hat in swept]
     cells = [(t.n_qubits, t.xs, t.zs, k, groups) for k, groups, _ in swept]
-    work = len(ks) * t.n_qubits * len(t.xs)  # every term, per qubit, per k
+    n = t.n_qubits
+    # about 20 steps for each term restricted to each block of each k, and
+    # for each group's synthesis on each qubit
+    work = (20 * (len(t.xs) * -(-n // k) + len(g) * n) for k, g, _ in swept)
     circuits = _map(_circuit_cell, cells, jobs, work)
     return [SweepRow(k, len(g), r, *c) for (k, g, r), c in zip(swept, circuits)]
 
@@ -166,10 +182,28 @@ def find_k_star(rows: Sequence[SweepRow], rel_tol: float = 1e-9) -> KStarResult:
     return KStarResult(k_rhat, k_groups)
 
 
+def _instance(factory: Callable, n: int, seed: int | None) -> Hamiltonian:
+    return factory(n) if seed is None else factory(n, seed)
+
+
 def _scaling_cell(args) -> KStarResult:
     factory, n, seed, rel_tol = args
-    h = factory(n) if seed is None else factory(n, seed)
-    return find_k_star(k_sweep(h, range(1, n + 1)), rel_tol)
+    return find_k_star(k_sweep(_instance(factory, n, seed), range(1, n + 1)), rel_tol)
+
+
+def _scaling_steps(h: Hamiltonian) -> int:
+    """Estimated steps of `_scaling_cell` on h, each about 0.1 us: fitted on
+    k* cells of all four families (2 cores, Python 3.11), each within 1.4x.
+    Each block size costs 30 (its row and its share of building h) and half
+    a step per cut; each term costs 10, and 10 per qubit it acts on (the
+    anticommutation table), and 3 per relation class (a column fit and a
+    score)."""
+    t = _terms(h)
+    antis, cuts = _anti_table(t, range(h.num_terms))
+    ks = range(1, h.n_qubits + 1)
+    classes = len(_relation_classes(cuts, ks))
+    table = h.num_terms + sum(map(len, antis))
+    return len(ks) * (60 + len(cuts)) // 2 + 10 * table + 3 * h.num_terms * classes
 
 
 def k_star_scaling(
@@ -188,8 +222,9 @@ def k_star_scaling(
     `factory(n, seed)` builds each instance and rows carry the mean and
     population standard deviation over the seeds. A repeated size gives
     one row, at its first position. The instances run on up to `jobs`
-    worker processes only when seeds-per-size * sum(n^2) reaches
-    `_POOL_MIN_WORK`.
+    worker processes only when they are estimated to take `_POOL_MIN_WORK`
+    steps, counted on the first seed's instance of each size, largest
+    first.
     """
     sizes = list(dict.fromkeys(int(n) for n in sizes))
     if not sizes:
@@ -199,8 +234,11 @@ def k_star_scaling(
         raise ValueError("empty seed list")
     per_size = [None] if seed_list is None else seed_list
     cells = [(factory, n, seed, rel_tol) for n in sizes for seed in per_size]
-    # a sweep of an n-qubit instance runs n block sizes over n qubits
-    work = len(per_size) * sum(n * n for n in sizes)
+    # largest first, one instance of each size standing for all its seeds
+    work = (
+        len(per_size) * _scaling_steps(_instance(factory, n, per_size[0]))
+        for n in sorted(sizes, reverse=True)
+    )
     results = _map(_scaling_cell, cells, jobs, work)
 
     rows = []

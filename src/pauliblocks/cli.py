@@ -253,9 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=os.cpu_count() or 1,
         help=(
-            "worker processes (default: all cores), started only from "
-            "1,000,000 units of work: seeds * sum(n^2) for kstar, "
-            "block sizes * qubits * terms for sweep --with-circuits"
+            "worker processes (default: all cores), started only for at least "
+            "1,000,000 estimated steps of work, about 0.1 s serially (see README)"
         ),
     )
     table.add_argument("--format", choices=("csv", "json"), default="csv")

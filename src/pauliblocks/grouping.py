@@ -14,6 +14,7 @@ all equal-magnitude terms share one group.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 import random
@@ -176,11 +177,25 @@ def _relation_classes(cuts: Sequence[tuple[int, int]], ks: Sequence[int]) -> lis
     matter, and only whether each of them shares a block. Block sizes that
     keep the same cuts together share a relation, so first fit, sorted or
     seeded random, groups the terms identically under each of them.
+
+    Block size k splits cut (a, b) exactly when a multiple of k lies in
+    (a, b], so the cuts k splits are those covering one of its multiples:
+    about n log n masks for n qubits, not one test per size and cut.
     """
-    classes: dict[tuple[bool, ...], list[int]] = {}
+    top = max((b for _, b in cuts), default=0)
+    # each cut's bit is set from a + 1 and cleared from b + 1, so covers[m]
+    # is the mask of the cuts (a, b) with a < m <= b
+    edges = [0] * (top + 2)
+    for i, (a, b) in enumerate(cuts):
+        edges[a + 1] ^= 1 << i
+        edges[b + 1] ^= 1 << i
+    covers = list(itertools.accumulate(edges, operator.xor))
+    classes: dict[int, list[int]] = {}
     for k in ks:
-        key = tuple(a // k == b // k for a, b in cuts)
-        classes.setdefault(key, []).append(k)
+        split = 0
+        for m in range(k, top + 1, k):
+            split |= covers[m]
+        classes.setdefault(split, []).append(k)
     return list(classes.values())
 
 

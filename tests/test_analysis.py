@@ -452,42 +452,69 @@ class TestSweep:
         assert least == 1_000_000
         items = list(range(41))
         negated = [-i for i in items]
-        assert analysis_module._map(operator.neg, items, 2, least - 1) == negated
+        assert analysis_module._map(operator.neg, items, 2, [least - 2, 1]) == negated
         assert recording_pool.started == []
-        assert analysis_module._map(operator.neg, items, 2, least) == negated
+        assert analysis_module._map(operator.neg, items, 2, [least - 2, 1, 1]) == negated
         assert recording_pool.started == [2]
         # about four chunks per worker: ceil(41 / (4 * 2)) items each
         assert recording_pool.chunks == [6]
-        # one item or one job starts no pool, however much work
-        assert analysis_module._map(operator.neg, [3], 8, 10 * least) == [-3]
-        assert analysis_module._map(operator.neg, items, 1, 10 * least) == negated
-        assert recording_pool.started == [2]
+
+        def counted_until(parts):
+            # the parts, failing if one is read after their sum reaches least
+            total = 0
+            for part in parts:
+                assert total < least, "work counted past the threshold"
+                total += part
+                yield part
+
+        # the parts are read only until they reach the threshold
+        assert analysis_module._map(operator.neg, items, 2, counted_until([least, 1])) == negated
+        assert recording_pool.started == [2, 2]
+        # one item or one job starts no pool, and reads no work
+        unread = iter([least])
+        assert analysis_module._map(operator.neg, [3], 8, unread) == [-3]
+        assert analysis_module._map(operator.neg, items, 1, unread) == negated
+        assert next(unread) == least
+        assert recording_pool.started == [2, 2]
         # no more workers than items, and then one item per chunk
-        assert analysis_module._map(operator.neg, items[:5], 64, least) == negated[:5]
-        assert recording_pool.started == [2, 5]
-        assert recording_pool.chunks == [6, 1]
+        assert analysis_module._map(operator.neg, items[:5], 64, [least]) == negated[:5]
+        assert recording_pool.started == [2, 2, 5]
+        assert recording_pool.chunks == [6, 6, 1]
+
+    def test_scaling_steps_by_hand(self):
+        steps = analysis_module._scaling_steps
+        # tfim(4): 4 block sizes, 7 terms acting on 10 qubits in all, no
+        # cuts, so one relation class
+        assert steps(tfim(4)) == 4 * 30 + 10 * (7 + 10) + 3 * 7 * 1
+        # hardcore_boson_1d(4): XX and YY on each of 3 pairs anticommute on
+        # both qubits, cutting (0, 1), (1, 2) and (2, 3); each k keeps a
+        # different set of them together, so 4 classes; 10 terms on 16 qubits
+        assert steps(hardcore_boson_1d(4)) == 4 * (60 + 3) // 2 + 10 * (10 + 16) + 3 * 10 * 4
 
     def test_work_counts(self, monkeypatch):
         counts = []  # (cell function, cell count, work) of every map
 
         def recording_map(fn, items, jobs, work):
+            work = list(work)
             counts.append((fn.__name__, len(items), work))
             return real(fn, items, jobs, work)
 
         real = analysis_module._map
         monkeypatch.setattr(analysis_module, "_map", recording_map)
-        # a k* scan: per instance, n block sizes over n qubits
+        steps = analysis_module._scaling_steps
+        # a k* scan: each distinct size's instance once, largest first
         k_star_scaling(tfim, [4, 6, 4], jobs=2)
+        # the first seed's instance stands for every seed of its size
         random_w2 = lambda n, seed: random_hamiltonian(n, 2.0, seed)  # noqa: E731
-        k_star_scaling(random_w2, [5, 6], seeds=range(3), jobs=2)
-        # a circuit sweep: every term, per qubit, per distinct k
-        h = random_hamiltonian(10, 2.0, seed=5)
-        k_sweep(h, [1, 3, 3, 7], with_circuits=True, jobs=2)
-        k_sweep(h, [1, 3], jobs=2)  # without circuits, nothing is mapped
+        k_star_scaling(random_w2, [5, 6], seeds=[7, 8, 9], jobs=2)
+        # a circuit sweep of tfim(4), 2 groups (the ZZs, the Xs) at every k:
+        # 20 per term per block and per group per qubit, per distinct k
+        k_sweep(tfim(4), [1, 3, 3, 4], with_circuits=True, jobs=2)
+        k_sweep(tfim(4), [1, 3], jobs=2)  # without circuits, nothing is mapped
         assert counts == [
-            ("_scaling_cell", 2, 4 * 4 + 6 * 6),
-            ("_scaling_cell", 6, 3 * (5 * 5 + 6 * 6)),
-            ("_circuit_cell", 3, 3 * 10 * h.num_terms),
+            ("_scaling_cell", 2, [steps(tfim(6)), steps(tfim(4))]),
+            ("_scaling_cell", 6, [3 * steps(random_w2(6, 7)), 3 * steps(random_w2(5, 7))]),
+            ("_circuit_cell", 3, [20 * (7 * 4 + 2 * 4), 20 * (7 * 2 + 2 * 4), 20 * (7 + 2 * 4)]),
         ]
 
     def test_serial_sweep_builds_one_anticommutation_table(self, monkeypatch):
@@ -683,6 +710,27 @@ class TestRelationClasses:
         assert classes_of(SWEEP_CORPUS["random-w6"], range(1, 13)) == [
             [1, 3, 9], [2, 4, 5, 6, 7, 8, 10, 11, 12]
         ]
+
+    def test_classes_key_on_which_cuts_share_a_block(self):
+        # the classes, by definition: block sizes alike in which cuts (a, b)
+        # have a // k == b // k, in order of first appearance
+        def by_definition(cuts, ks):
+            classes = {}
+            for k in ks:
+                classes.setdefault(tuple(a // k == b // k for a, b in cuts), []).append(k)
+            return list(classes.values())
+
+        rng = random.Random(20)
+        for _ in range(500):
+            n = rng.randint(2, 40)
+            pairs = [sorted(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 12))]
+            cuts = sorted(set(map(tuple, pairs)))
+            ks = rng.sample(range(1, n + 1), rng.randint(1, n))
+            assert grouping_module._relation_classes(cuts, ks) == by_definition(cuts, ks)
+        # every pair of adjacent qubits cut: each k its own class
+        cuts = [(q, q + 1) for q in range(63)]
+        classes = grouping_module._relation_classes(cuts, range(1, 65))
+        assert classes == [[k] for k in range(1, 65)]
 
     @pytest.mark.parametrize("name", list(SWEEP_CORPUS))
     def test_one_class_shares_one_relation_and_one_grouping(self, name):

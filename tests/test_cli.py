@@ -199,24 +199,24 @@ class TestKstarBoundDiag:
         assert "perfect square" in capsys.readouterr().err
 
     def test_kstar_small_scans_start_no_pool(self, capsys, recording_pool):
-        # the benchmark's kstar_small arguments: 30 * (16^2 + 32^2 + 48^2 +
-        # 64^2) = 230,400 units of work, below the pool's threshold
+        # the benchmark's kstar_small arguments: 438,540 estimated steps of
+        # work, below the pool's threshold
         argv = ["kstar", "random", "--sizes", "16,32,48,64", "--seed", "1", "--seeds", "30"]
         assert run_cli(*argv, "--jobs", "8") == 0
         assert recording_pool.started == []
-        # the golden corpus's pooled scan: 9 * (128^2 + 192^2 + 256^2) =
-        # 1,069,056 units, past it
-        argv = ["kstar", "random", "--sizes", "128,192,256", "--seeds", "9", "--seed", "0"]
-        assert run_cli(*argv, "--jobs", "2") == 0
+        # the golden corpus's pooled scan: much the same sizes with heavier
+        # terms, 1,221,408 steps, past it
+        argv = ["kstar", "random", "--sizes", "32,48,64", "--w", "7", "--seeds", "24"]
+        assert run_cli(*argv, "--seed", "0", "--jobs", "2") == 0
         assert recording_pool.started == [2]
-        assert recording_pool.chunks == [4]  # ceil(27 cells / (4 * 2 workers))
+        assert recording_pool.chunks == [9]  # ceil(72 cells / (4 * 2 workers))
 
     def test_jobs_help_states_the_pool_threshold(self, capsys):
         for command in ("sweep", "kstar"):
             with pytest.raises(SystemExit):
                 run_cli(command, "--help")
             help_text = " ".join(capsys.readouterr().out.split())
-            assert f"started only from {analysis._POOL_MIN_WORK:,} units" in help_text
+            assert f"at least {analysis._POOL_MIN_WORK:,} estimated steps" in help_text
 
     def test_kstar_parallel_jobs_match_serial(self, capsys, pool_at_any_work):
         # factories must survive pickling into worker processes

@@ -19,6 +19,7 @@ Re-recording is for deliberate output changes only.
 
 from __future__ import annotations
 
+import concurrent.futures
 import contextlib
 import hashlib
 import io
@@ -108,11 +109,19 @@ qubits: 16
 """
 
 
-def _case(*argv, files=None, outs=(), then=()):
+def _case(*argv, files=None, outs=(), then=(), pool_at_any_work=False):
     """One `main()` run, followed by the runs in `then` in the same directory;
-    a case's fingerprint covers all of them together."""
+    a case's fingerprint covers all of them together. With
+    `pool_at_any_work`, `--jobs` above 1 starts a process pool however
+    little work the case holds (by lowering `analysis._POOL_MIN_WORK` to 0
+    while it runs), so small inputs check the pooled path."""
     argvs = [list(argv), *map(list, then)]
-    return {"argvs": argvs, "files": files or {}, "outs": list(outs)}
+    return {
+        "argvs": argvs,
+        "files": files or {},
+        "outs": list(outs),
+        "pool_at_any_work": pool_at_any_work,
+    }
 
 
 _M = {"mixed.txt": MIXED}
@@ -156,7 +165,7 @@ CASES = {
     ),
     "sweep_jobs2": _case(
         "sweep", "mixed.txt", "--ks", "1..6", "--with-circuits", "--jobs", "2",
-        files=_M,
+        files=_M, pool_at_any_work=True,
     ),
     "group_sweep_nondyadic": _case(
         "group", "nd.txt", "--k", "1", files={"nd.txt": NONDYADIC},
@@ -200,7 +209,8 @@ CASES = {
         then=[("sweep", "r.txt", "--with-circuits", "--jobs", "1")],
     ),
     # block sizes that all share one commutation relation (tfim), that each
-    # have their own (hardcore-boson), and a pooled scan of random instances
+    # have their own (hardcore-boson), and a pooled scan of random instances;
+    # a sweep without circuits runs in one process at any --jobs
     "sweep_tfim_all_k": _case(
         "gen", "tfim", "--n", "9", "--j", "0.5", "--g", "-1.5", "--out", "t.txt",
         then=[
@@ -212,10 +222,11 @@ CASES = {
     "sweep_hardcore_boson_circuits_jobs2": _case(
         "gen", "hardcore-boson", "--n", "7", "--t", "3", "--out", "hb.txt",
         then=[("sweep", "hb.txt", "--with-circuits", "--jobs", "2")],
+        pool_at_any_work=True,
     ),
     "kstar_random_jobs2": _case(
         "kstar", "random", "--sizes", "6,9,12", "--w", "2", "--seed", "21",
-        "--seeds", "5", "--jobs", "2",
+        "--seeds", "5", "--jobs", "2", pool_at_any_work=True,
     ),
     # heavy random terms: many even-anticommuting pairs, so many classes of
     # block sizes, grouped in a seeded random order on a pool
@@ -225,29 +236,37 @@ CASES = {
             "sweep", "r.txt", "--algorithm", "random", "--seed", "11", "--jobs", "2",
             "--with-circuits",
         )],
+        pool_at_any_work=True,
     ),
     "sweep_ks_list": _case(
         "gen", "random", "--n", "14", "--w", "7", "--seed", "4", "--out", "r.txt",
         then=[("sweep", "r.txt", "--ks", "2,5,9", "--jobs", "1")],
     ),
-    # eight classes of block sizes, one of them [2, 5], over three workers:
-    # the class count is not a multiple of the worker count
+    # twelve block sizes in eight relation classes, one of them [2, 5], each
+    # size one cell of the circuit synthesis over three workers
     "sweep_eight_classes_jobs3": _case(
         "gen", "random", "--n", "12", "--w", "3", "--seed", "5", "--out", "r.txt",
         then=[
             ("sweep", "r.txt", "--jobs", "3", "--with-circuits"),
             ("sweep", "r.txt", "--jobs", "3", "--format", "json"),
         ],
+        pool_at_any_work=True,
     ),
     "kstar_random_jobs3": _case(
         "kstar", "random", "--sizes", "5,8,11", "--w", "2.5", "--seed", "31",
-        "--seeds", "4", "--jobs", "3",
+        "--seeds", "4", "--jobs", "3", pool_at_any_work=True,
     ),
-    # 9 * (128^2 + 192^2 + 256^2) = 1,069,056 units of work: past the
-    # threshold, so this scan runs on a real pool
+    # 1,221,408 and 1,200,640 estimated steps of work, past the pool's
+    # threshold, so these two start a real pool: 72 instances go to two
+    # workers in chunks of 9, and 64 block sizes to three workers in 11
+    # chunks of at most 6, so the workers' shares differ
     "kstar_random_pooled": _case(
-        "kstar", "random", "--sizes", "128,192,256", "--seeds", "9", "--seed", "0",
-        "--jobs", "2",
+        "kstar", "random", "--sizes", "32,48,64", "--w", "7", "--seeds", "24",
+        "--seed", "0", "--jobs", "2",
+    ),
+    "sweep_circuits_pooled_jobs3": _case(
+        "gen", "random", "--n", "64", "--w", "4", "--seed", "3", "--out", "r.txt",
+        then=[("sweep", "r.txt", "--with-circuits", "--jobs", "3")],
     ),
     # error lines
     "error_group_no_seed": _case(
@@ -318,8 +337,22 @@ def _sha(data: str | bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+# the workers of every process pool each case starts; the others start none
+POOLS = {
+    "sweep_jobs2": [2],
+    "sweep_hardcore_boson_circuits_jobs2": [2],
+    "kstar_random_jobs2": [2],
+    "sweep_random_heavy_circuits_jobs2": [2],
+    "sweep_eight_classes_jobs3": [3],
+    "kstar_random_jobs3": [3],
+    "kstar_random_pooled": [2],
+    "sweep_circuits_pooled_jobs3": [3],
+}
+
+
 def run_case(case: dict) -> dict:
     """Run one case in a fresh temporary directory and fingerprint it."""
+    from pauliblocks import analysis
     from pauliblocks.cli import main
 
     out, err = io.StringIO(), io.StringIO()
@@ -334,6 +367,10 @@ def run_case(case: dict) -> dict:
                 warnings.simplefilter("always")
                 stack.enter_context(contextlib.redirect_stdout(out))
                 stack.enter_context(contextlib.redirect_stderr(err))
+                if case["pool_at_any_work"]:
+                    least = analysis._POOL_MIN_WORK
+                    stack.callback(setattr, analysis, "_POOL_MIN_WORK", least)
+                    analysis._POOL_MIN_WORK = 0
                 code = max(main(argv) for argv in case["argvs"])
             files = {name: _sha(Path(name).read_bytes()) for name in case["outs"]}
         finally:
@@ -356,9 +393,18 @@ def pytest_generate_tests(metafunc):
         metafunc.parametrize("case_name", list(CASES))
 
 
-def test_golden_cli(case_name):
+def test_golden_cli(case_name, monkeypatch):
+    started = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     assert run_case(CASES[case_name]) == golden[case_name]
+    assert started == POOLS.get(case_name, [])
 
 
 def test_golden_cli_covers_every_case():
