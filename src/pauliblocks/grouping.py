@@ -13,7 +13,6 @@ all equal-magnitude terms share one group.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -56,6 +55,8 @@ class Grouping:
         frozen = tuple(tuple(g) for g in groups)
         if frozen:  # no groups at all is refused by the score, as "empty grouping"
             _require_partition(h, frozen)
+            # plain ints, so that numpy integers reach JSON as numbers
+            frozen = tuple(tuple(map(operator.index, g)) for g in frozen)
         out = cls(blocks, frozen, _r_hat_of_groups(_terms(h), frozen))
         check_grouping(h, out)
         return out
@@ -252,18 +253,11 @@ def _sweep_groups(
     antis, cuts = _anti_table(t, order)
     out = []
     for ks_alike in _relation_classes(cuts, ks):
-        home = _uniform_home(ks_alike[0], t.n_qubits)
-        groups = _column_fit(antis, order, home)
+        k = ks_alike[0]  # block q // k, as in BlockSpec.uniform(k, n).home
+        groups = _column_fit(antis, order, [q // k for q in range(t.n_qubits)])
         r_hat = _r_hat_of_groups(t, groups)
         out.extend((k, groups, r_hat) for k in ks_alike)
     return sorted(out, key=lambda swept: swept[0])
-
-
-# A k* scan sweeps many instances of each width, so the same block sizes
-# recur; each entry holds one tuple of n ints, and at most 128 are kept.
-@functools.lru_cache(maxsize=128)
-def _uniform_home(k: int, n_qubits: int) -> tuple[int, ...]:
-    return BlockSpec.uniform(k, n_qubits).home
 
 
 def _r_hat_of_groups(t: _Terms, groups: Sequence[Sequence[int]]) -> float:

@@ -235,9 +235,9 @@ def random_hamiltonian(n: int, w: float, seed: int) -> Hamiltonian:
     if not 0 < w < math.inf:
         raise ValueError(f"mean weight w must be positive and finite, got {w}")
     rng = random.Random(seed)
-    seen: set[PauliString] = set()
-    terms: list[Term] = []
-    while len(terms) < n:
+    # insertion-ordered; a repeated string is a no-op and the loop draws again
+    drawn: dict[PauliString, None] = {}
+    while len(drawn) < n:
         # a draw past n weighs n: an infinite one cannot be rounded
         t = max(round(min(rng.expovariate(1.0 / w), n)), 1)
         x = z = 0
@@ -247,12 +247,8 @@ def random_hamiltonian(n: int, w: float, seed: int) -> Hamiltonian:
                 x |= 1 << q
             if letter != "X":
                 z |= 1 << q
-        pauli = PauliString(n, x, z)
-        if pauli in seen:
-            continue
-        seen.add(pauli)
-        terms.append(Term(1.0, pauli))
-    return Hamiltonian(n, tuple(terms))
+        drawn[PauliString(n, x, z)] = None
+    return Hamiltonian(n, tuple(Term(1.0, pauli) for pauli in drawn))
 
 
 def load_hamiltonian(path) -> Hamiltonian:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 import math
 import operator
 import random
@@ -289,10 +290,14 @@ class TestValidityAndScore:
             r_hat(h, Grouping(blocks, tuple(floats), 1.0))
         with pytest.raises(ValueError, match="partition"):
             check_grouping(h, Grouping(blocks, tuple(floats), 1.0))
-        # anything with __index__ is an index, numpy integers among them
+        # anything with __index__ is an index, numpy integers among them, and
+        # is stored as a plain int, so the grouping still dumps to JSON
         for to_index in (np.int64, np.uint8, Index):
             g = Grouping.from_groups(h, blocks, [[to_index(i) for i in g] for g in valid])
             assert g.r_hat == sorted_insertion(h, blocks).r_hat
+            assert g.groups == valid
+            assert all(type(i) is int for group in g.groups for i in group)
+            assert json.loads(json.dumps(g.to_json_dict()))["groups"] == [list(v) for v in valid]
 
     def test_r_hat_rejects_non_partition(self):
         h = worked_example()
@@ -435,23 +440,6 @@ class TestColumnFit:
         pairs = [pair for anti in antis for pair in anti]
         assert len(pairs) > len(antis)
         assert all(any(a is c for c in cols[q]) for q, a in pairs)
-
-    def test_sweeps_share_uniform_block_indices(self):
-        # a k* scan sweeps one width many times: each class's block indices
-        # come from a bounded cache, equal to the uniform BlockSpec's own
-        home = grouping_module._uniform_home
-        assert home.cache_info().maxsize == 128
-        for n in (1, 7, 40):
-            for k in range(1, n + 1):
-                assert home(k, n) == BlockSpec.uniform(k, n).home
-        home.cache_clear()
-        t = grouping_module._terms(random_hamiltonian(12, 2.0, seed=3))
-        first = grouping_module._sweep_groups(t, t.order, range(1, 13))
-        _, cuts = grouping_module._anti_table(t, t.order)
-        built = home.cache_info().misses
-        assert built == len(grouping_module._relation_classes(cuts, range(1, 13))) > 1
-        assert grouping_module._sweep_groups(t, t.order, range(1, 13)) == first
-        assert home.cache_info().misses == built
 
     def test_sweep_memory_is_linear_in_the_term_count(self, deadline):
         # the table holds references to the qubit columns, not a mask over

@@ -211,8 +211,12 @@ class TestRandomHamiltonian:
         assert all(1 <= t.pauli.weight <= 16 for t in h.terms)
 
     def test_tiny_mean_weight_clamps_to_one(self):
+        # seven draws, one of them a repeat that is drawn again, in draw order
         h = random_hamiltonian(6, 1e-9, seed=3)
         assert all(t.pauli.weight == 1 for t in h.terms)
+        assert [t.pauli.render() for t in h.terms] == [
+            "IIIIXI", "IIIIYI", "ZIIIII", "IIIYII", "IZIIII", "IXIIII"
+        ]
 
     def test_huge_mean_weight_clamps_to_n(self):
         # the first draw at seed 0 is infinite
