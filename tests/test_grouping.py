@@ -441,6 +441,30 @@ class TestColumnFit:
         assert len(pairs) > len(antis)
         assert all(any(a is c for c in cols[q]) for q, a in pairs)
 
+    def test_sweeps_share_uniform_block_indices(self, monkeypatch):
+        # a k* scan sweeps one width many times: each relation class gets one
+        # column fit, on block indices equal to the uniform BlockSpec's own
+        homes = []
+
+        def recording_fit(antis, order, home):
+            homes.append(tuple(home))
+            return real(antis, order, home)
+
+        real = grouping_module._column_fit
+        monkeypatch.setattr(grouping_module, "_column_fit", recording_fit)
+        t = grouping_module._terms(random_hamiltonian(12, 2.0, seed=3))
+        first = grouping_module._sweep_groups(t, t.order, range(1, 13))
+        _, cuts = grouping_module._anti_table(t, t.order)
+        classes = grouping_module._relation_classes(cuts, range(1, 13))
+        assert len(homes) == len(classes) > 1
+        assert homes == [BlockSpec.uniform(ks[0], 12).home for ks in classes]
+        assert [k for k, _, _ in first] == list(range(1, 13))
+        for k, groups, _ in first:
+            blocks = BlockSpec.uniform(k, 12)
+            assert groups == grouping_module._first_fit(t, blocks, t.order).groups
+        assert grouping_module._sweep_groups(t, t.order, range(1, 13)) == first
+        assert len(homes) == 2 * len(classes)
+
     def test_sweep_memory_is_linear_in_the_term_count(self, deadline):
         # the table holds references to the qubit columns, not a mask over
         # the terms per term: doubling the terms must not quadruple the peak
