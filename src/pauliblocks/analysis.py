@@ -12,13 +12,11 @@ check the other.
 from __future__ import annotations
 
 import math
-import statistics
 import sys
 from collections import Counter
 from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Sequence
 
-from .clifford import _block_gate_lists, _depth
 from .grouping import _anti_table, _order, _relation_classes, _sweep_groups, _terms
 from .hamiltonians import Hamiltonian
 from .paulis import BlockSpec, PauliString, block_commutes_all, restrict
@@ -115,6 +113,8 @@ def _reaches(parts: Iterable[int], least: int) -> bool:
 def _circuit_cell(args) -> tuple[int, int]:
     """The largest per-block diagonalization sub-circuit over one k's
     groups, synthesized under that k's blocks: (gate count, depth)."""
+    from .clifford import _block_gate_lists, _depth  # loaded only by sweeps with circuits
+
     n_qubits, xs, zs, k, groups = args
     blocks = BlockSpec.uniform(k, n_qubits)
     gates = depth = 0
@@ -226,6 +226,8 @@ def k_star_scaling(
     steps, counted on the first seed's instance of each size, largest
     first.
     """
+    import statistics  # for the random family's mean and spread
+
     sizes = list(dict.fromkeys(int(n) for n in sizes))
     if not sizes:
         raise ValueError("no sizes given")

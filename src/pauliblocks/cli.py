@@ -1,4 +1,8 @@
-"""Command-line front end: gen, group, sweep, kstar, bound, diag."""
+"""Command-line front end: gen, group, sweep, kstar, bound, diag.
+
+A command imports `analysis` or `clifford` first thing, and only if it uses
+them, so `group` loads neither and no out-of-memory error arrives mid-import.
+"""
 
 from __future__ import annotations
 
@@ -11,21 +15,6 @@ import math
 import os
 import sys
 
-from .analysis import (
-    diag_gate_lower_bound,
-    k_star_scaling,
-    k_sweep,
-    min_circuit_depth,
-)
-from .clifford import (
-    Tableau,
-    circuit_depth,
-    circuit_to_text,
-    conjugate,
-    diagonalize_group,
-    is_diagonal,
-    per_block_circuits,
-)
 from .grouping import random_insertion, sorted_insertion
 from .hamiltonians import (
     bacon_shor,
@@ -155,6 +144,8 @@ def _cmd_group(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from .analysis import k_sweep
+
     h = load_hamiltonian(args.input)
     ks = _parse_ks(args.ks, h.n_qubits)
     _require_seed(args)
@@ -171,6 +162,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_kstar(args) -> int:
+    from .analysis import k_star_scaling
+
     sizes = _parse_sizes(args.sizes)
     factory = _family_factory(args)
     seeds = None
@@ -184,6 +177,8 @@ def _cmd_kstar(args) -> int:
 
 
 def _cmd_bound(args) -> int:
+    from .analysis import diag_gate_lower_bound, min_circuit_depth
+
     bound = diag_gate_lower_bound(args.n, args.r)
     print(f"gate_count_bound = {bound!r}")
     print(f"depth_floor = {min_circuit_depth(bound, args.n)}")
@@ -191,6 +186,11 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_diag(args) -> int:
+    from .clifford import (
+        Tableau, circuit_depth, circuit_to_text, conjugate, diagonalize_group,
+        is_diagonal, per_block_circuits,
+    )
+
     h = load_hamiltonian(args.input)
     blocks, grouping = _group_from_args(args, h)
     if not 0 <= args.group_index < grouping.num_groups:

@@ -149,11 +149,32 @@ MUTANTS = [
         ("test_hamiltonians.py",),
     ),
     Mutant(
+        "Hamiltonian accepts a non-finite offset",
+        "hamiltonians.py",
+        "if not math.isfinite(self.offset):",
+        "if False:",
+        ("test_hamiltonians.py",),
+    ),
+    Mutant(
+        "loader drops the declared qubit count's sys.maxsize check",
+        "hamiltonians.py",
+        "if declared_n > sys.maxsize:",
+        "if False:",
+        ("test_hamiltonians.py",),
+    ),
+    Mutant(
         "random_hamiltonian draws one term too few",
         "hamiltonians.py",
         "while len(drawn) < n:",
         "while len(drawn) < n - 1:",
         ("test_hamiltonians.py",),
+    ),
+    Mutant(
+        "import pauliblocks loads analysis and clifford",
+        "__init__.py",
+        '__version__ = "0.1.0"\n',
+        '__version__ = "0.1.0"\nfrom . import analysis, clifford\n',
+        ("test_cli.py",),
     ),
 ]
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import csv
 import io
 import json
@@ -26,6 +27,7 @@ from pauliblocks import (
     circuit_from_text,
     circuit_to_text,
     cli,
+    clifford,
 )
 from pauliblocks.cli import main
 
@@ -360,7 +362,9 @@ class TestDiagRefusesAnUnverifiedCircuit:
 
     @pytest.mark.parametrize("trusted", [None, "tableau", "conjugate"])
     def test_circuit_without_its_last_gate(self, monkeypatch, run_diag, trusted):
-        real = cli.diagonalize_group
+        # diag imports its clifford names when it runs, so the patches go on
+        # the module it imports them from
+        real = clifford.diagonalize_group
 
         def drop_last_gate(members, blocks):
             circuit = real(members, blocks)
@@ -369,12 +373,12 @@ class TestDiagRefusesAnUnverifiedCircuit:
         def diagonal(*args):
             return PauliString(args[-1].n_qubits)
 
-        monkeypatch.setattr(cli, "diagonalize_group", drop_last_gate)
+        monkeypatch.setattr(clifford, "diagonalize_group", drop_last_gate)
         # a trusted check calls every image diagonal: the other must refuse
         if trusted == "tableau":
             monkeypatch.setattr(Tableau, "apply", diagonal)
         elif trusted == "conjugate":
-            monkeypatch.setattr(cli, "conjugate", diagonal)
+            monkeypatch.setattr(clifford, "conjugate", diagonal)
         assert run_diag().endswith(" is not diagonalized\n")
 
     def test_tableau_that_is_not_symplectic(self, monkeypatch, run_diag):
@@ -616,18 +620,49 @@ class TestEntryPoint:
         assert result.returncode == 1
         assert "error:" in result.stderr
 
-    def test_runtime_needs_no_numpy(self):
+    # the modules that each path must load and must not, beyond those a bare
+    # interpreter already holds; none of these paths reaches the pool threshold
+    ANALYSIS, CLIFFORD = "pauliblocks.analysis", "pauliblocks.clifford"
+    LAZY = {ANALYSIS, CLIFFORD, "statistics"}
+    POOL = {"concurrent.futures", "multiprocessing"}
+
+    @pytest.mark.parametrize(
+        ("argv", "loads", "never"),
+        [
+            ([], {"pauliblocks.grouping"}, LAZY),
+            (["group", "--k", "2"], {"pauliblocks.cli"}, LAZY),
+            (["diag", "--k", "2"], {CLIFFORD}, LAZY - {CLIFFORD}),
+            (["sweep", "--jobs", "2"], {ANALYSIS}, {CLIFFORD}),
+            (
+                ["kstar", "random", "--sizes", "4,6", "--seed", "1", "--seeds", "3"],
+                {ANALYSIS, "statistics"},
+                {CLIFFORD},
+            ),
+            (["bound", "--n", "4", "--r", "4"], {ANALYSIS}, {CLIFFORD}),
+        ],
+        ids=["import", "group", "diag", "sweep", "kstar", "bound"],
+    )
+    def test_each_path_loads_only_what_it_runs(self, tmp_path, argv, loads, never):
+        """In a fresh interpreter without numpy, `import pauliblocks` and each
+        command load the modules they run and no others of LAZY or POOL."""
+        if argv and argv[0] in ("group", "diag", "sweep"):
+            path = tmp_path / "h.txt"
+            path.write_text("qubits: 4\n1.0 XXXX\n1.0 ZZZZ\n")
+            argv = [argv[0], str(path), *argv[1:]]
         code = (
-            "import runpy, sys\n"
+            "import sys\n"
+            "bare = set(sys.modules)\n"
             "sys.modules['numpy'] = None\n"
-            "import pauliblocks.cli\n"
-            "pool = {'concurrent.futures', 'multiprocessing'} & set(sys.modules)\n"
-            "assert not pool, pool\n"
-            "sys.argv = ['pauliblocks', 'bound', '--n', '4', '--r', '4']\n"
-            "runpy.run_module('pauliblocks', run_name='__main__')\n"
+            "import pauliblocks\n"
+            "if sys.argv[1:]:\n"
+            "    from pauliblocks.cli import main\n"
+            "    assert main(sys.argv[1:]) == 0\n"
+            "print(sorted(set(sys.modules) - bare - {'numpy'}))\n"
         )
         result = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True
+            [sys.executable, "-c", code, *argv], capture_output=True, text=True
         )
         assert result.returncode == 0, result.stderr
-        assert result.stdout.startswith("gate_count_bound = ")
+        loaded = set(ast.literal_eval(result.stdout.splitlines()[-1]))
+        assert loads <= loaded
+        assert loaded & (never | self.POOL) == set()

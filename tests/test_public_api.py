@@ -5,11 +5,15 @@ from __future__ import annotations
 
 import ast
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
 
+import pytest
+
 import pauliblocks
-from pauliblocks import cli
+from pauliblocks import analysis, cli, clifford
 
 # every name `import pauliblocks` exposes that is neither private nor a module
 PUBLIC = [
@@ -29,11 +33,37 @@ PUBLIC = [
 
 
 def test_public_names_are_pinned():
+    # dir() rather than vars(): the analysis and clifford names are in the
+    # module's globals only once something has asked for them
     names = sorted(
-        name for name, value in vars(pauliblocks).items()
-        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+        name for name in dir(pauliblocks)
+        if not name.startswith("_")
+        and not isinstance(getattr(pauliblocks, name), types.ModuleType)
     )
     assert names == PUBLIC
+
+
+def test_dir_and_star_import_give_every_public_name():
+    assert dir(pauliblocks) == PUBLIC
+    # in a fresh interpreter, where no name has been loaded on first access
+    code = "from pauliblocks import *\nprint(sorted(n for n in dir() if n[0] != '_'))"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert ast.literal_eval(result.stdout) == PUBLIC
+
+
+@pytest.mark.parametrize("module", [analysis, clifford], ids=["analysis", "clifford"])
+def test_each_lazy_name_is_its_modules_object(module):
+    assert module.__all__  # the names that pauliblocks loads on first access
+    for name in module.__all__:
+        assert getattr(pauliblocks, name) is getattr(module, name)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError) as info:
+        pauliblocks.no_such_name  # noqa: B018
+    assert str(info.value) == "module 'pauliblocks' has no attribute 'no_such_name'"
+    assert not hasattr(pauliblocks, "_no_such_name")
 
 
 def test_cli_imports_no_private_name_from_the_package():
