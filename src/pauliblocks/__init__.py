@@ -6,10 +6,10 @@ verified per-block diagonalization circuits over {CNOT, H, S}, and sweeps
 block sizes to locate the threshold where the reduction saturates.
 
 `import pauliblocks` loads `paulis`, `hamiltonians` and `grouping`, which
-every command uses. The names of `analysis` (sweeps, thresholds, counting)
-and `clifford` (circuits) load their module on first access (PEP 562), and
-each is then a plain module global, so a caller that needs neither never
-pays for them.
+every command uses, and no `dataclasses`, `json` or `csv`. The names of
+`analysis` (sweeps, thresholds, counting) and `clifford` (circuits) load
+their module on first access (PEP 562), then stay plain module globals, so
+a caller that needs neither never pays for them.
 """
 
 from .grouping import Grouping, check_grouping, r_hat, random_insertion, sorted_insertion

@@ -14,12 +14,11 @@ from __future__ import annotations
 import math
 import sys
 from collections import Counter
-from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Sequence
 
 from .grouping import _anti_table, _order, _relation_classes, _sweep_groups, _terms
 from .hamiltonians import Hamiltonian
-from .paulis import BlockSpec, PauliString, block_commutes_all, restrict
+from .paulis import BlockSpec, PauliString, _Frozen, block_commutes_all, restrict
 
 __all__ = [
     "SweepRow",
@@ -38,36 +37,52 @@ __all__ = [
 ]
 
 
-class _Row:
+class _Row(_Frozen):
+    __slots__ = ()
+
     def to_json_dict(self) -> dict:
-        """The row's fields in declaration order, without optional columns
-        that are None."""
-        return {key: v for key, v in asdict(self).items() if v is not None}
+        """The row's fields in order, without optional columns that are None."""
+        return {key: v for key in self._fields if (v := getattr(self, key)) is not None}
 
 
-@dataclass(frozen=True)
 class SweepRow(_Row):
-    k: int
-    num_groups: int
-    r_hat: float
-    max_block_circuit_gates: int | None = None
-    max_block_circuit_depth: int | None = None
+    __slots__ = _fields = ("k", "num_groups", "r_hat",
+                           "max_block_circuit_gates", "max_block_circuit_depth")
+
+    def __init__(
+        self, k: int, num_groups: int, r_hat: float, max_block_circuit_gates: int | None = None,
+        max_block_circuit_depth: int | None = None,
+    ):
+        self._set("k", k)
+        self._set("num_groups", num_groups)
+        self._set("r_hat", r_hat)
+        self._set("max_block_circuit_gates", max_block_circuit_gates)
+        self._set("max_block_circuit_depth", max_block_circuit_depth)
 
 
-@dataclass(frozen=True)
-class KStarResult:
-    k_star_rhat: int
-    k_star_groups: int
+class KStarResult(_Frozen):
+    __slots__ = _fields = ("k_star_rhat", "k_star_groups")
+
+    def __init__(self, k_star_rhat: int, k_star_groups: int):
+        self._set("k_star_rhat", k_star_rhat)
+        self._set("k_star_groups", k_star_groups)
 
 
-@dataclass(frozen=True)
 class ScalingRow(_Row):
-    n: int
-    k_star_rhat: float
-    k_star_groups: float
-    k_star_rhat_std: float | None = None
-    k_star_groups_std: float | None = None
-    num_seeds: int | None = None
+    __slots__ = _fields = ("n", "k_star_rhat", "k_star_groups",
+                           "k_star_rhat_std", "k_star_groups_std", "num_seeds")
+
+    def __init__(
+        self, n: int, k_star_rhat: float, k_star_groups: float,
+        k_star_rhat_std: float | None = None, k_star_groups_std: float | None = None,
+        num_seeds: int | None = None,
+    ):
+        self._set("n", n)
+        self._set("k_star_rhat", k_star_rhat)
+        self._set("k_star_groups", k_star_groups)
+        self._set("k_star_rhat_std", k_star_rhat_std)
+        self._set("k_star_groups_std", k_star_groups_std)
+        self._set("num_seeds", num_seeds)
 
 
 # A pool starts only for about 0.1 s of serial work or more: on 2 cores

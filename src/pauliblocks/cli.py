@@ -7,10 +7,8 @@ them, so `group` loads neither and no out-of-memory error arrives mid-import.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
-import json
 import math
 import os
 import sys
@@ -69,10 +67,16 @@ def _parse_sizes(text: str) -> list[int]:
     return [int(s) for s in text.split(",")]
 
 
+def _json_text(doc) -> str:
+    import json  # like csv, loaded only by the commands that print it
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+
 def _rows_to_text(rows: list, fmt: str) -> str:
     dicts = [r.to_json_dict() for r in rows]
     if fmt == "json":
-        return json.dumps(dicts, indent=2, allow_nan=False) + "\n"
+        return _json_text(dicts)
+    import csv
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=list(dicts[0].keys()))
     writer.writeheader()
@@ -138,8 +142,7 @@ def _group_from_args(args, h):
 def _cmd_group(args) -> int:
     h = load_hamiltonian(args.input)
     _, grouping = _group_from_args(args, h)
-    text = json.dumps(grouping.to_json_dict(), indent=2, allow_nan=False)
-    _write(text + "\n", args.out)
+    _write(_json_text(grouping.to_json_dict()), args.out)
     return 0
 
 

@@ -19,10 +19,9 @@ import functools
 import itertools
 import operator
 import random
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .paulis import BlockSpec, PauliString, block_commutes_all, first_noncommuting_pair
+from .paulis import BlockSpec, PauliString, _Frozen, block_commutes_all, first_noncommuting_pair
 
 __all__ = [
     "Gate",
@@ -42,21 +41,21 @@ __all__ = [
 _KINDS = ("H", "S", "CNOT")
 
 
-@dataclass(frozen=True)
-class Gate:
-    kind: str
-    qubits: tuple[int, ...]
+class Gate(_Frozen):
+    __slots__ = _fields = ("kind", "qubits")
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
-        arity = 2 if self.kind == "CNOT" else 1
-        if len(self.qubits) != arity:
-            raise ValueError(f"{self.kind} takes {arity} qubit(s), got {self.qubits}")
-        if any(q < 0 for q in self.qubits):
-            raise ValueError(f"negative qubit index in {self.qubits}")
-        if self.kind == "CNOT" and self.qubits[0] == self.qubits[1]:
+    def __init__(self, kind: str, qubits: tuple[int, ...]):
+        if kind not in _KINDS:
+            raise ValueError(f"unknown gate kind {kind!r}")
+        arity = 2 if kind == "CNOT" else 1
+        if len(qubits) != arity:
+            raise ValueError(f"{kind} takes {arity} qubit(s), got {qubits}")
+        if any(q < 0 for q in qubits):
+            raise ValueError(f"negative qubit index in {qubits}")
+        if kind == "CNOT" and qubits[0] == qubits[1]:
             raise ValueError("CNOT control and target must differ")
+        self._set("kind", kind)
+        self._set("qubits", qubits)
 
     @classmethod
     def h(cls, q: int) -> "Gate":
@@ -74,18 +73,17 @@ class Gate:
         return " ".join([self.kind, *map(str, self.qubits)])
 
 
-@dataclass(frozen=True)
-class CliffordCircuit:
-    n_qubits: int
-    gates: tuple[Gate, ...]
+class CliffordCircuit(_Frozen):
+    __slots__ = _fields = ("n_qubits", "gates")
 
-    def __post_init__(self):
-        object.__setattr__(self, "gates", tuple(self.gates))
-        if self.n_qubits < 1:
-            raise ValueError(f"n_qubits must be positive, got {self.n_qubits}")
+    def __init__(self, n_qubits: int, gates: tuple[Gate, ...]):
+        self._set("gates", tuple(gates))
+        if n_qubits < 1:
+            raise ValueError(f"n_qubits must be positive, got {n_qubits}")
         for g in self.gates:
-            if max(g.qubits) >= self.n_qubits:
-                raise ValueError(f"gate {g} out of range for {self.n_qubits} qubits")
+            if max(g.qubits) >= n_qubits:
+                raise ValueError(f"gate {g} out of range for {n_qubits} qubits")
+        self._set("n_qubits", n_qubits)
 
     @property
     def gate_count(self) -> int:
@@ -103,14 +101,17 @@ def conjugate(circuit: CliffordCircuit, pauli: PauliString) -> PauliString:
     for gate in circuit.gates:
         if gate.kind == "H":
             d = (x ^ z) & (1 << gate.qubits[0])
-            x ^= d
-            z ^= d
+            if d:  # XOR only on a change: each XOR builds a new n-bit int
+                x ^= d
+                z ^= d
         elif gate.kind == "S":
             z ^= x & (1 << gate.qubits[0])
         else:
             c, t = gate.qubits
-            x ^= ((x >> c) & 1) << t
-            z ^= ((z >> t) & 1) << c
+            if x >> c & 1:
+                x ^= 1 << t
+            if z >> t & 1:
+                z ^= 1 << c
     return PauliString(pauli.n_qubits, x, z)
 
 
@@ -141,26 +142,27 @@ def _transpose(columns: Sequence[int], height: int) -> list[int]:
     return [int("".join(row), 2) for row in zip(*digits)]
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class Tableau:
+class Tableau(_Frozen):
     """Symplectic action of a circuit on the phaseless Pauli generators.
 
     Stores the (x, z) image of every X_j and Z_j basis generator; the image
     of an arbitrary string is the XOR combination selected by its bits.
     """
 
-    n_qubits: int
-    x_images: tuple[tuple[int, int], ...]
-    z_images: tuple[tuple[int, int], ...]
+    __slots__ = _fields = ("n_qubits", "x_images", "z_images")
+    __eq__, __hash__ = object.__eq__, object.__hash__  # by identity
 
-    def __post_init__(self):
-        n_qubits = self.n_qubits
+    def __init__(
+        self, n_qubits: int, x_images: tuple[tuple[int, int], ...],
+        z_images: tuple[tuple[int, int], ...],
+    ):
         if n_qubits < 1:
             raise ValueError(f"n_qubits must be positive, got {n_qubits}")
-        if len(self.x_images) != n_qubits or len(self.z_images) != n_qubits:
+        if len(x_images) != n_qubits or len(z_images) != n_qubits:
             raise ValueError("need one image per basis generator")
-        object.__setattr__(self, "x_images", tuple(self.x_images))
-        object.__setattr__(self, "z_images", tuple(self.z_images))
+        self._set("n_qubits", n_qubits)
+        self._set("x_images", tuple(x_images))
+        self._set("z_images", tuple(z_images))
         limit = 1 << n_qubits
         for x, z in self.x_images + self.z_images:
             if not (0 <= x < limit and 0 <= z < limit):

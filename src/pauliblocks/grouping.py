@@ -17,11 +17,10 @@ import itertools
 import math
 import operator
 import random
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 from .hamiltonians import Hamiltonian
-from .paulis import BlockSpec, block_commutes_all, first_noncommuting_pair
+from .paulis import BlockSpec, _Frozen, block_commutes_all, first_noncommuting_pair
 
 __all__ = [
     "Grouping",
@@ -32,13 +31,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Grouping:
+class Grouping(_Frozen):
     """A partition of term indices into mutually block-commuting groups."""
 
-    blocks: BlockSpec
-    groups: tuple[tuple[int, ...], ...]
-    r_hat: float
+    __slots__ = _fields = ("blocks", "groups", "r_hat")
+
+    def __init__(self, blocks: BlockSpec, groups: tuple[tuple[int, ...], ...], r_hat: float):
+        self._set("blocks", blocks)
+        self._set("groups", groups)
+        self._set("r_hat", r_hat)
 
     @property
     def num_groups(self) -> int:

@@ -13,9 +13,8 @@ import math
 import random
 import sys
 import warnings
-from dataclasses import dataclass
 
-from .paulis import PauliString, parse_pauli, pauli_notation
+from .paulis import PauliString, _Frozen, parse_pauli, pauli_notation
 
 __all__ = [
     "Term",
@@ -31,22 +30,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(_Frozen):
     """A real coefficient attached to a Pauli string."""
 
-    coefficient: float
-    pauli: PauliString
+    __slots__ = _fields = ("coefficient", "pauli")
 
-    def __post_init__(self):
-        if not math.isfinite(self.coefficient):
-            raise ValueError(f"coefficient must be finite, got {self.coefficient}")
-        if self.coefficient == 0.0:
+    def __init__(self, coefficient: float, pauli: PauliString):
+        if not math.isfinite(coefficient):
+            raise ValueError(f"coefficient must be finite, got {coefficient}")
+        if coefficient == 0.0:
             raise ValueError("zero-coefficient terms are not allowed")
+        self._set("coefficient", coefficient)
+        self._set("pauli", pauli)
 
 
-@dataclass(frozen=True)
-class Hamiltonian:
+class Hamiltonian(_Frozen):
     """An ordered collection of distinct Pauli terms plus a scalar offset.
 
     Invariants enforced at construction: the offset is finite, every term
@@ -54,21 +52,21 @@ class Hamiltonian:
     is the identity (identity contributions belong in `offset`).
     """
 
-    n_qubits: int
-    terms: tuple[Term, ...]
-    offset: float = 0.0
+    __slots__ = _fields = ("n_qubits", "terms", "offset")
 
-    def __post_init__(self):
-        if self.n_qubits < 1:
+    def __init__(self, n_qubits: int, terms: tuple[Term, ...], offset: float = 0.0):
+        if n_qubits < 1:
             raise ValueError("n_qubits must be positive")
-        if not math.isfinite(self.offset):
-            raise ValueError(f"offset must be finite, got {self.offset}")
-        object.__setattr__(self, "terms", tuple(self.terms))
+        if not math.isfinite(offset):
+            raise ValueError(f"offset must be finite, got {offset}")
+        self._set("n_qubits", n_qubits)
+        self._set("terms", tuple(terms))
+        self._set("offset", offset)
         seen = set()
         for t in self.terms:
-            if t.pauli.n_qubits != self.n_qubits:
+            if t.pauli.n_qubits != n_qubits:
                 raise ValueError(
-                    f"term {t.pauli} acts on {t.pauli.n_qubits} qubits, expected {self.n_qubits}"
+                    f"term {t.pauli} acts on {t.pauli.n_qubits} qubits, expected {n_qubits}"
                 )
             if t.pauli.is_identity:
                 raise ValueError("identity terms must be carried in the offset")

@@ -16,7 +16,6 @@ the same test to each block of an ordered qubit partition, and
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 __all__ = [
@@ -40,8 +39,38 @@ _X_DIGITS = str.maketrans("IXYZ", "0110")
 _Z_DIGITS = str.maketrans("IXYZ", "0011")
 
 
-@dataclass(frozen=True, slots=True)
-class PauliString:
+class _Frozen:
+    """Base of the immutable value types. A subclass names in `_fields` its
+    constructor's arguments, in order, which equality, hashing, repr and pickles read."""
+
+    __slots__ = ()
+    _set = object.__setattr__  # bound to the instance: self._set(name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # a copy or an unpickle checks its values again
+        return type(self), self._values()
+
+
+class PauliString(_Frozen):
     """An immutable, phaseless n-qubit Pauli string.
 
     Coefficients and phases are not part of the string; they live on
@@ -49,21 +78,20 @@ class PauliString:
     to share between threads.
     """
 
-    n_qubits: int
-    x_bits: int = 0
-    z_bits: int = 0
-    # computed once: loading a Hamiltonian hashes each string several times
-    _hash: int = field(init=False, repr=False, compare=False)
+    _fields = ("n_qubits", "x_bits", "z_bits")
+    __slots__ = (*_fields, "_hash")  # loading a Hamiltonian hashes each string often
 
-    def __post_init__(self):
-        n_qubits, x_bits, z_bits = self.n_qubits, self.x_bits, self.z_bits
+    def __init__(self, n_qubits: int, x_bits: int = 0, z_bits: int = 0):
         if n_qubits < 1:
             raise ValueError(f"n_qubits must be positive, got {n_qubits}")
         # bit_length, not a comparison with 1 << n_qubits, so that a wide
         # string costs no n_qubits-bit integer
         if x_bits < 0 or z_bits < 0 or (x_bits | z_bits).bit_length() > n_qubits:
             raise ValueError(f"bit vectors out of range for {n_qubits} qubits")
-        object.__setattr__(self, "_hash", hash((n_qubits, x_bits, z_bits)))
+        self._set("n_qubits", n_qubits)
+        self._set("x_bits", x_bits)
+        self._set("z_bits", z_bits)
+        self._set("_hash", hash((n_qubits, x_bits, z_bits)))
 
     @classmethod
     def identity(cls, n_qubits: int) -> "PauliString":
@@ -102,8 +130,7 @@ class PauliString:
         return self.render()
 
 
-@dataclass(frozen=True, slots=True)
-class BlockSpec:
+class BlockSpec(_Frozen):
     """An ordered partition of n qubit positions into contiguous blocks.
 
     The block sizes (k_1, ..., k_m) must be positive and sum to the qubit
@@ -112,20 +139,18 @@ class BlockSpec:
     construction; equality, hashing, repr and pickling use `sizes` alone.
     """
 
-    sizes: tuple[int, ...]
-    spans: tuple[tuple[int, int], ...] = field(init=False, compare=False)
-    masks: tuple[int, ...] = field(init=False, compare=False)
-    home: tuple[int, ...] = field(init=False, compare=False)  # qubit -> block
+    _fields = ("sizes",)
+    __slots__ = (*_fields, "spans", "masks", "home")
 
-    def __post_init__(self):
-        sizes = tuple(map(int, self.sizes))
+    def __init__(self, sizes: tuple[int, ...]):
+        sizes = tuple(map(int, sizes))
         if not sizes:
             raise ValueError("BlockSpec needs at least one block")
         if min(sizes) < 1:
             raise ValueError(f"block sizes must be positive, got {sizes}")
         spans = []
         masks = []
-        home: list[int] = []
+        home: list[int] = []  # qubit -> block
         start = 0
         for idx, s in enumerate(sizes):
             stop = start + s
@@ -133,14 +158,10 @@ class BlockSpec:
             masks.append(((1 << s) - 1) << start)
             home += [idx] * s
             start = stop
-        object.__setattr__(self, "sizes", sizes)
-        object.__setattr__(self, "spans", tuple(spans))
-        object.__setattr__(self, "masks", tuple(masks))
-        object.__setattr__(self, "home", tuple(home))
-
-    def __reduce__(self):
-        # the derived fields are rebuilt: the masks alone hold O(n^2/k) bits
-        return BlockSpec, (self.sizes,)
+        self._set("sizes", sizes)
+        self._set("spans", tuple(spans))
+        self._set("masks", tuple(masks))
+        self._set("home", tuple(home))
 
     @classmethod
     def uniform(cls, k: int, n_qubits: int) -> "BlockSpec":

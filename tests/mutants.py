@@ -4,7 +4,7 @@ Run it from anywhere, with pytest, hypothesis, mpmath and numpy installed:
 
     python tests/mutants.py
 
-It copies src/, tests/ and pyproject.toml into a temporary
+It copies src/, tests/, pyproject.toml and README.md into a temporary
 directory, runs the unmutated copy's tests first (they must pass), then, for
 each mutant, applies it to a fresh copy and runs `pytest -x -q` on the test
 files that must catch it, with PYTHONPATH pointing at the copy. Every run has
@@ -43,6 +43,27 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = [
+    Mutant(
+        "value types compare without their last field",
+        "paulis.py",
+        "return self._values() == other._values()",
+        "return self._values()[:-1] == other._values()[:-1]",
+        ("test_public_api.py",),
+    ),
+    Mutant(
+        "value types accept assignment",
+        "paulis.py",
+        'raise AttributeError(f"{type(self).__name__}.{name} is read-only")',
+        "object.__setattr__(self, name, value)",
+        ("test_public_api.py",),
+    ),
+    Mutant(
+        "value types pickle without their last constructor argument",
+        "paulis.py",
+        "return type(self), self._values()",
+        "return type(self), self._values()[:-1]",
+        ("test_public_api.py",),
+    ),
     Mutant(
         "column fit keeps its accepted bit",
         "grouping.py",
@@ -102,8 +123,8 @@ MUTANTS = [
     Mutant(
         "conjugate: H swaps no z bit",
         "clifford.py",
-        "            x ^= d\n            z ^= d\n",
-        "            x ^= d\n",
+        "                x ^= d\n                z ^= d\n",
+        "                x ^= d\n",
         ("test_clifford.py",),
     ),
     Mutant(
@@ -116,8 +137,8 @@ MUTANTS = [
     Mutant(
         "conjugate: CNOT copies z from control to target",
         "clifford.py",
-        "z ^= ((z >> t) & 1) << c",
-        "z ^= ((z >> c) & 1) << t",
+        "if z >> t & 1:\n                z ^= 1 << c",
+        "if z >> c & 1:\n                z ^= 1 << t",
         ("test_clifford.py",),
     ),
     Mutant(
@@ -151,8 +172,8 @@ MUTANTS = [
     Mutant(
         "Hamiltonian accepts a non-finite offset",
         "hamiltonians.py",
-        "if not math.isfinite(self.offset):",
-        "if False:",
+        "if not math.isfinite(offset):\n            raise ValueError",
+        "if False:\n            raise ValueError",
         ("test_hamiltonians.py",),
     ),
     Mutant(
@@ -183,7 +204,8 @@ def _copy_tree(dest: Path) -> None:
     ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
     for name in ("src", "tests"):
         shutil.copytree(ROOT / name, dest / name, ignore=ignore)
-    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+    for name in ("pyproject.toml", "README.md"):  # a test runs README's quickstart
+        shutil.copy2(ROOT / name, dest / name)
 
 
 def _limit_address_space() -> None:
