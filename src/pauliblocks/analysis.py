@@ -134,10 +134,9 @@ def _circuit_cell(args) -> tuple[int, int]:
     blocks = BlockSpec.uniform(k, n_qubits)
     gates = depth = 0
     for group in groups:
-        members = [PauliString(n_qubits, xs[i], zs[i]) for i in group]
-        for block_gates in _block_gate_lists(members, blocks):
+        for block_gates in _block_gate_lists([(xs[i], zs[i]) for i in group], blocks):
             gates = max(gates, len(block_gates))
-            depth = max(depth, _depth(block_gates))
+            depth = max(depth, _depth(qubits for _, qubits in block_gates))
     return gates, depth
 
 

@@ -55,7 +55,7 @@ class Gate(_Frozen):
         if kind == "CNOT" and qubits[0] == qubits[1]:
             raise ValueError("CNOT control and target must differ")
         self._set("kind", kind)
-        self._set("qubits", qubits)
+        self._set("qubits", tuple(qubits))
 
     @classmethod
     def h(cls, q: int) -> "Gate":
@@ -120,17 +120,17 @@ def is_diagonal(pauli: PauliString) -> bool:
     return pauli.x_bits == 0
 
 
-def _apply_to_columns(gate: Gate, xs, zs) -> None:
+def _apply_to_columns(kind: str, qubits: tuple[int, ...], xs, zs) -> None:
     """Apply a gate to a bit matrix held column-wise, in place: xs[q] and
     zs[q] mask the rows with an x or z bit on qubit q."""
-    if gate.kind == "H":
-        (q,) = gate.qubits
+    if kind == "H":
+        (q,) = qubits
         xs[q], zs[q] = zs[q], xs[q]
-    elif gate.kind == "S":
-        (q,) = gate.qubits
+    elif kind == "S":
+        (q,) = qubits
         zs[q] ^= xs[q]
     else:
-        c, t = gate.qubits
+        c, t = qubits
         xs[t] ^= xs[c]
         zs[c] ^= zs[t]
 
@@ -182,7 +182,7 @@ class Tableau(_Frozen):
         xs = [1 << q for q in range(n)]
         zs = [1 << (n + q) for q in range(n)]
         for gate in circuit.gates:
-            _apply_to_columns(gate, xs, zs)
+            _apply_to_columns(gate.kind, gate.qubits, xs, zs)
         images = list(zip(_transpose(xs, 2 * n), _transpose(zs, 2 * n)))
         return cls(n, images[:n], images[n:])
 
@@ -234,16 +234,20 @@ def _independent_rows(vectors: Iterable[tuple[int, int]], width: int) -> list[li
     return [[v >> width, v & mask] for _, v in sorted(pivots.items(), reverse=True)]
 
 
-def _diagonalize_block(rows: Sequence[Sequence[int]], qubits: range) -> list[Gate]:
-    """Emit {CNOT, H, S} gates on `qubits` sending every (x, z) row to Z-type.
+def _diagonalize_block(rows: Sequence[Sequence[int]], qubits: range) -> list[tuple]:
+    """Emit (kind, qubits) gates over {CNOT, H, S} on `qubits` sending every
+    independent (x, z) row, supported on `qubits`, to Z-type.
 
-    `rows` must be independent, pairwise commuting and supported on
-    `qubits`. They are held column-wise: xs[q] and zs[q] mask the rows with
-    an x or z bit on qubit q, so each gate costs O(1) big-int operations
-    whatever the number of rows. Each pass fixes one row to a single-qubit Z
-    on a fresh pivot, which later gates never touch, so the loop terminates
-    within len(rows) passes. A failure to do so indicates a precondition
-    violation and raises RuntimeError.
+    The rows are held column-wise: xs[q] and zs[q] mask the rows with an x
+    or z bit on qubit q, so each gate costs O(1) big-int operations. Each
+    pass fixes one row to a single-qubit Z on a fresh pivot, which later
+    gates never touch, so the loop ends within len(rows) passes. Unless the
+    rows pairwise commute, the pivot-column test raises ValueError, and it
+    is complete. Take any anticommuting pair of rows. Gates, and the
+    Z-clearing products with a fixed row, keep every open pair's relation;
+    two rows never fixed end Z-type, so they commute. So the first of the
+    pair to be fixed as Z on its pivot finds the other still open, with an x
+    bit on that pivot. Any other failure breaks an invariant: RuntimeError.
     """
     xs, zs = dict.fromkeys(qubits, 0), dict.fromkeys(qubits, 0)
     for i, (x, z) in enumerate(rows):
@@ -253,11 +257,11 @@ def _diagonalize_block(rows: Sequence[Sequence[int]], qubits: range) -> list[Gat
                 cols[low.bit_length() - 1] |= 1 << i
                 bits ^= low
     open_rows = (1 << len(rows)) - 1  # rows not yet fixed; bit i is row i
-    gates: list[Gate] = []
+    gates: list[tuple] = []
 
-    def emit(gate: Gate) -> None:
-        gates.append(gate)
-        _apply_to_columns(gate, xs, zs)
+    def emit(kind: str, *on: int) -> None:
+        gates.append((kind, on))
+        _apply_to_columns(kind, on, xs, zs)
 
     for _ in range(len(rows)):
         open_x = open_rows & functools.reduce(operator.or_, xs.values())
@@ -267,65 +271,63 @@ def _diagonalize_block(rows: Sequence[Sequence[int]], qubits: range) -> list[Gat
         x_support = [q for q, col in xs.items() if col & row]
         pivot = x_support[0]
         for j in x_support[1:]:
-            emit(Gate.cnot(pivot, j))
+            emit("CNOT", pivot, j)
         if zs[pivot] & row:
-            emit(Gate.s(pivot))
+            emit("S", pivot)
         z_rest = [q for q, col in zs.items() if col & row]
         for j in z_rest:
-            emit(Gate.h(j))
+            emit("H", j)
         for j in z_rest:
-            emit(Gate.cnot(pivot, j))
+            emit("CNOT", pivot, j)
         support = [q for q, col in xs.items() if (col | zs[q]) & row]
         if support != [pivot] or zs[pivot] & row:  # the row is not X on the pivot
             raise RuntimeError("block diagonalization failed to isolate a pivot")
-        emit(Gate.h(pivot))
+        emit("H", pivot)
         open_rows ^= row
         # no later gate touches the pivot, so check its final columns once and
         # clear its Z entries on the open rows (a product with the fixed row)
         if xs[pivot] & open_rows:
-            raise RuntimeError("block diagonalization failed: rows do not commute")
+            raise ValueError("rows do not commute")
         zs[pivot] &= ~open_rows
     if open_rows and open_rows & functools.reduce(operator.or_, xs.values()):
         raise RuntimeError("block diagonalization left a non-diagonal row")
     return gates
 
 
-def _block_gate_lists(
-    members: Sequence[PauliString], blocks: BlockSpec
-) -> list[list[Gate]]:
-    """One gate list per block, by symplectic Gaussian elimination over an
-    independent generating subset of the members' restrictions to it. By
-    bilinearity the members block-commute iff each block's rows commute, so
-    the pairwise search over the members runs only when they do not."""
+def _block_gate_lists(bits: Sequence[tuple[int, int]], blocks: BlockSpec) -> list[list[tuple]]:
+    """One (kind, qubits) list per block, by symplectic Gaussian elimination
+    over an independent generating subset of the (x, z) rows' restrictions
+    to it. By bilinearity the rows block-commute iff each block's subset
+    commutes, which the elimination checks: ValueError if not."""
+    return [
+        # restrictions stay at their global positions, so the gates do too
+        _diagonalize_block(_independent_rows(((x & mask, z & mask) for x, z in bits), stop),
+                           range(start, stop))
+        for (start, stop), mask in zip(blocks.spans, blocks.masks)
+    ]
+
+
+def diagonalize_group(members: Sequence[PauliString], blocks: BlockSpec) -> CliffordCircuit:
+    """Synthesize a circuit conjugating every member to Z-type, block by block.
+
+    Members must pairwise block-commute under `blocks`; the elimination checks
+    it, and the error names the first pair that does not. The circuit is the
+    per-block gate lists of `_block_gate_lists` joined, so each sub-circuit
+    stays in one block; its `Gate`s are the only ones that synthesis builds.
+    """
+    members = list(members)
     if not members:
         raise ValueError("no members to diagonalize")
     n = members[0].n_qubits
     blocks.require_n(n)
     if any(p.n_qubits != n for p in members):
         raise ValueError("members act on different qubit counts")
-    block_rows = []
-    for (_, stop), mask in zip(blocks.spans, blocks.masks):
-        # restrictions stay at their global positions, so the gates do too
-        rows = _independent_rows(((p.x_bits & mask, p.z_bits & mask) for p in members), stop)
-        # each row lies in one block, so plain commutation (mask -1) decides
-        if not all(block_commutes_all(*row, rows[i + 1 :], (-1,)) for i, row in enumerate(rows)):
-            a, b = first_noncommuting_pair(members, blocks)
-            raise ValueError(f"members {a} and {b} do not block-commute under {blocks}")
-        block_rows.append(rows)
-    return [_diagonalize_block(rows, range(*span)) for rows, span in zip(block_rows, blocks)]
-
-
-def diagonalize_group(
-    members: Sequence[PauliString], blocks: BlockSpec
-) -> CliffordCircuit:
-    """Synthesize a circuit conjugating every member to Z-type, block by block.
-
-    Members must pairwise block-commute under `blocks` (checked up front).
-    The returned circuit is a disjoint union of sub-circuits, each confined
-    to one block: the gate lists of `_block_gate_lists`, joined.
-    """
-    gates = _block_gate_lists(list(members), blocks)
-    return CliffordCircuit(blocks.n_qubits, tuple(itertools.chain(*gates)))
+    try:
+        gates = _block_gate_lists([(p.x_bits, p.z_bits) for p in members], blocks)
+    except ValueError:
+        a, b = first_noncommuting_pair(members, blocks)
+        raise ValueError(f"members {a} and {b} do not block-commute under {blocks}") from None
+    return CliffordCircuit(n, tuple(Gate(*g) for g in itertools.chain(*gates)))
 
 
 def count_diagonalized(circuit: CliffordCircuit) -> int:
@@ -354,14 +356,14 @@ def count_diagonalized(circuit: CliffordCircuit) -> int:
     return sum(counts.get(v, 0) for v in from_x)
 
 
-def _depth(gates: Iterable[Gate]) -> int:
-    """Greedy layering depth: each gate lands in the earliest layer after
-    the last layer touching any of its qubits."""
+def _depth(gates: Iterable[tuple[int, ...]]) -> int:
+    """Greedy layering depth of gates given as qubit tuples: each lands in
+    the earliest layer after the last layer touching any of its qubits."""
     last: dict[int, int] = {}
     depth = 0
-    for gate in gates:
-        layer = 1 + max(last.get(q, 0) for q in gate.qubits)
-        for q in gate.qubits:
+    for qubits in gates:
+        layer = 1 + max(last.get(q, 0) for q in qubits)
+        for q in qubits:
             last[q] = layer
         depth = max(depth, layer)
     return depth
@@ -369,7 +371,7 @@ def _depth(gates: Iterable[Gate]) -> int:
 
 def circuit_depth(circuit: CliffordCircuit) -> int:
     """Greedy layering depth of the circuit's gates (see `_depth`)."""
-    return _depth(circuit.gates)
+    return _depth(g.qubits for g in circuit.gates)
 
 
 def per_block_circuits(

@@ -38,7 +38,7 @@ class Grouping(_Frozen):
 
     def __init__(self, blocks: BlockSpec, groups: tuple[tuple[int, ...], ...], r_hat: float):
         self._set("blocks", blocks)
-        self._set("groups", groups)
+        self._set("groups", tuple(tuple(g) for g in groups))
         self._set("r_hat", r_hat)
 
     @property
@@ -325,8 +325,7 @@ def _first_fit(t: _Terms, blocks: BlockSpec, order: Sequence[int]) -> Grouping:
         else:
             groups.append([i])
             group_bits.append([(x, z)])
-    frozen = tuple(tuple(g) for g in groups)
-    return Grouping(blocks, frozen, _r_hat_of_groups(t, frozen))
+    return Grouping(blocks, groups, _r_hat_of_groups(t, groups))
 
 
 def sorted_insertion(h: Hamiltonian, blocks: BlockSpec) -> Grouping:

@@ -1,6 +1,6 @@
 """Mutation gate: each wrong rule in MUTANTS must fail a test.
 
-Run it from anywhere, with pytest, hypothesis, mpmath and numpy installed:
+Run it from anywhere, with the `test` extra of pyproject.toml installed:
 
     python tests/mutants.py
 
@@ -160,6 +160,13 @@ MUTANTS = [
         "clifford.py",
         "zs[c] ^= zs[t]",
         "zs[t] ^= zs[c]",
+        ("test_clifford.py",),
+    ),
+    Mutant(
+        "elimination skips its commutation check",
+        "clifford.py",
+        "if xs[pivot] & open_rows:",
+        "if False:",
         ("test_clifford.py",),
     ),
     Mutant(

@@ -394,6 +394,18 @@ class TestSweep:
         monkeypatch.setattr(analysis_module, "per_block_circuits", refuse, raising=False)
         assert k_sweep(h, range(1, 13), with_circuits=True, jobs=1) == expected
 
+    def test_circuits_build_no_gate_or_pauli_string(self, monkeypatch):
+        # the sweep synthesizes on plain (x, z) bits and (kind, qubits)
+        # pairs; only diagonalize_group builds value objects
+        def refuse(*args, **kwargs):
+            raise AssertionError("value object built on the sweep's synthesis path")
+
+        h = random_hamiltonian(12, 3.0, seed=2)
+        expected = self.round_trip_rows(h, range(1, 13), "sorted", None)
+        monkeypatch.setattr(clifford_module.Gate, "__init__", refuse)
+        monkeypatch.setattr(PauliString, "__init__", refuse)
+        assert k_sweep(h, range(1, 13), with_circuits=True, jobs=1) == expected
+
     def test_parallel_matches_serial(self, pool_at_any_work):
         h = random_hamiltonian(10, 2.0, seed=5)
         serial = k_sweep(h, range(1, 11), jobs=1)

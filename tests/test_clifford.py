@@ -31,6 +31,7 @@ from pauliblocks import (
     sorted_insertion,
     tfim,
 )
+from pauliblocks.paulis import first_noncommuting_pair
 
 
 def replay(circuit: CliffordCircuit, x: int, z: int) -> tuple[int, int]:
@@ -284,6 +285,31 @@ class TestDiagonalizeGroup:
         monkeypatch.setattr(clifford, "per_block_circuits", refuse)
         assert diagonalize_group(members, blocks).gates == expected
 
+    @pytest.mark.parametrize(
+        "sizes", [(4,), (2, 2, 2), (3, 3, 3, 3), (1, 2, 3), (5, 1, 4), (1,) * 5, (7, 6)]
+    )
+    def test_raises_exactly_when_a_pair_fails(self, sizes):
+        # the elimination is the only commutation check: it must refuse every
+        # set with a failing pair, name that pair, and diagonalize the rest
+        blocks = BlockSpec(sizes)
+        n = blocks.n_qubits
+        rng = random.Random(str(sizes))
+        for trial in range(12):
+            members = random_block_commuting_set(rng, blocks, rng.randint(2, 2 * n))
+            if trial % 2:
+                members[rng.randrange(len(members))] = PauliString(
+                    n, rng.getrandbits(n), rng.getrandbits(n)
+                )
+            pair = first_noncommuting_pair(members, blocks)
+            if pair is None:
+                circ = diagonalize_group(members, blocks)
+                assert all(is_diagonal(conjugate(circ, p)) for p in members)
+            else:
+                message = f"members {pair[0]} and {pair[1]} do not block-commute under {blocks}"
+                with pytest.raises(ValueError) as caught:
+                    diagonalize_group(members, blocks)
+                assert str(caught.value) == message
+
     def test_rejects_empty_and_mismatched(self):
         with pytest.raises(ValueError):
             diagonalize_group([], BlockSpec.uniform(1, 1))
@@ -448,7 +474,8 @@ class TestSynthesisMatchesRowWiseReference:
         assert diagonalize_group(members, blocks).gates == expected
 
     def test_anticommuting_rows_raise(self):
-        with pytest.raises(RuntimeError, match="do not commute"):
+        # the elimination's pivot-column test is the precondition check
+        with pytest.raises(ValueError, match="do not commute"):
             clifford._diagonalize_block([(1, 0), (0, 1)], range(1))
         with pytest.raises(RuntimeError, match="do not commute"):
             row_wise_diagonalize_block([[1, 0], [0, 1]], range(1))
@@ -456,7 +483,7 @@ class TestSynthesisMatchesRowWiseReference:
     def test_pivot_check_reads_the_columns(self, monkeypatch):
         # with the column gate rules disabled, the row XX stays XX and the
         # check that the pass isolated its pivot must fire
-        monkeypatch.setattr(clifford, "_apply_to_columns", lambda gate, xs, zs: None)
+        monkeypatch.setattr(clifford, "_apply_to_columns", lambda kind, qubits, xs, zs: None)
         with pytest.raises(RuntimeError, match="isolate a pivot"):
             clifford._diagonalize_block([(0b11, 0)], range(2))
 

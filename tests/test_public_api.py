@@ -230,6 +230,17 @@ def test_pickle_and_deepcopy_round_trip(c):
         assert {name: getattr(back, name) for name in c.kwargs} == c.kwargs
 
 
+def test_sequences_are_stored_as_tuples():
+    # a list given to a value type must not stay mutable inside it
+    gate = Gate("H", [0])
+    assert gate == Gate.h(0) and hash(gate) == hash(Gate.h(0))
+    assert repr(gate) == "Gate(kind='H', qubits=(0,))"
+    grouping = Grouping(BlockSpec((2,)), [[0, 1]], 2.0)
+    assert grouping.groups == ((0, 1),)
+    assert hash(grouping) == hash(Grouping(BlockSpec((2,)), ((0, 1),), 2.0))
+    assert repr(grouping) == "Grouping(blocks=BlockSpec((2,)), groups=((0, 1),), r_hat=2.0)"
+
+
 @by_type
 def test_no_attribute_can_be_set_or_deleted(c):
     value = c.cls(*c.args)
