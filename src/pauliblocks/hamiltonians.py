@@ -14,7 +14,7 @@ import random
 import sys
 import warnings
 
-from .paulis import PauliString, _Frozen, parse_pauli, pauli_notation
+from .paulis import PauliString, _Frozen, _pauli_bits, pauli_notation
 
 __all__ = [
     "Term",
@@ -62,17 +62,16 @@ class Hamiltonian(_Frozen):
         self._set("n_qubits", n_qubits)
         self._set("terms", tuple(terms))
         self._set("offset", offset)
-        seen = set()
-        for t in self.terms:
-            if t.pauli.n_qubits != n_qubits:
-                raise ValueError(
-                    f"term {t.pauli} acts on {t.pauli.n_qubits} qubits, expected {n_qubits}"
-                )
-            if t.pauli.is_identity:
+        seen = set()  # (x_bits, z_bits) of each term so far
+        for p in (t.pauli for t in self.terms):
+            if p.n_qubits != n_qubits:
+                raise ValueError(f"term {p} acts on {p.n_qubits} qubits, expected {n_qubits}")
+            if p.is_identity:
                 raise ValueError("identity terms must be carried in the offset")
-            if t.pauli in seen:
-                raise ValueError(f"duplicate term {t.pauli}")
-            seen.add(t.pauli)
+            bits = p.x_bits, p.z_bits
+            if bits in seen:
+                raise ValueError(f"duplicate term {p}")
+            seen.add(bits)
 
     @property
     def num_terms(self) -> int:
@@ -89,24 +88,26 @@ class HamiltonianFileError(ValueError):
     """Raised for malformed term-list files; message carries the line number."""
 
 
-def _merge_terms(
-    path, n_qubits: int, raw: list[tuple[int, float, PauliString]]
-) -> Hamiltonian:
+def _merge_terms(path, n_qubits: int, raw: list[tuple[int, float, tuple]]) -> Hamiltonian:
     """Merge duplicate strings, fold identities into the offset, drop zeros.
 
-    `raw` holds (line number, coefficient, string) in file order.
+    `raw` holds (line number, coefficient, (x_bits, z_bits)) in file order;
+    strings are told apart by their bits alone.
 
     Raises:
         HamiltonianFileError: a merge or the offset overflows; the message
             names the line.
     """
+    def text(bits: tuple[int, int]) -> str:  # how warnings and errors name a string
+        return PauliString(n_qubits, *bits).render()
+
     offset = 0.0
-    acc: dict[PauliString, float] = {}
-    for ln, coeff, pauli in raw:
+    acc: dict[tuple[int, int], float] = {}
+    for ln, coeff, bits in raw:
         if coeff == 0.0:
-            warnings.warn(f"dropping zero-coefficient term {pauli}")
+            warnings.warn(f"dropping zero-coefficient term {text(bits)}")
             continue
-        if pauli.is_identity:
+        if bits == (0, 0):
             warnings.warn("folding identity term into the constant offset")
             offset += coeff
             if not math.isfinite(offset):
@@ -115,23 +116,21 @@ def _merge_terms(
                     f"gives a non-finite offset {offset}"
                 )
             continue
-        if pauli in acc:
-            total = acc[pauli] + coeff
+        total = acc.get(bits, 0.0) + coeff  # coeff itself on a first sight
+        if bits in acc:
             if not math.isfinite(total):
                 raise HamiltonianFileError(
-                    f"{path}: line {ln}: merging duplicate term {pauli} "
+                    f"{path}: line {ln}: merging duplicate term {text(bits)} "
                     f"gives a non-finite coefficient {total}"
                 )
-            warnings.warn(f"merging duplicate term {pauli}")
-            acc[pauli] = total
-        else:
-            acc[pauli] = coeff
+            warnings.warn(f"merging duplicate term {text(bits)}")
+        acc[bits] = total
     terms = []
-    for pauli, coeff in acc.items():
+    for bits, coeff in acc.items():
         if coeff == 0.0:
-            warnings.warn(f"term {pauli} merged to zero and dropped")
+            warnings.warn(f"term {text(bits)} merged to zero and dropped")
             continue
-        terms.append(Term(coeff, pauli))
+        terms.append(Term(coeff, PauliString(n_qubits, *bits)))
     return Hamiltonian(n_qubits, tuple(terms), offset)
 
 
@@ -233,8 +232,8 @@ def random_hamiltonian(n: int, w: float, seed: int) -> Hamiltonian:
     if not 0 < w < math.inf:
         raise ValueError(f"mean weight w must be positive and finite, got {w}")
     rng = random.Random(seed)
-    # insertion-ordered; a repeated string is a no-op and the loop draws again
-    drawn: dict[PauliString, None] = {}
+    # (x_bits, z_bits), insertion-ordered; a repeat is a no-op and the loop draws again
+    drawn: dict[tuple[int, int], None] = {}
     while len(drawn) < n:
         # a draw past n weighs n: an infinite one cannot be rounded
         t = max(round(min(rng.expovariate(1.0 / w), n)), 1)
@@ -245,8 +244,8 @@ def random_hamiltonian(n: int, w: float, seed: int) -> Hamiltonian:
                 x |= 1 << q
             if letter != "X":
                 z |= 1 << q
-        drawn[PauliString(n, x, z)] = None
-    return Hamiltonian(n, tuple(Term(1.0, pauli) for pauli in drawn))
+        drawn[x, z] = None
+    return Hamiltonian(n, tuple(Term(1.0, PauliString(n, x, z)) for x, z in drawn))
 
 
 def load_hamiltonian(path) -> Hamiltonian:
@@ -258,6 +257,9 @@ def load_hamiltonian(path) -> Hamiltonian:
     the Pauli in dense or sparse notation.
     Without the header, n is inferred as the largest dense length or sparse
     index + 1, and every dense line must then have exactly that length.
+    Errors come in this order, each kind by line number: header and
+    coefficient, Pauli syntax, width (a header-less file's past sys.maxsize
+    first) and duplicate sparse index, then merge and offset overflow.
 
     Raises:
         HamiltonianFileError: malformed or inconsistent line, a width or
@@ -315,16 +317,18 @@ def load_hamiltonian(path) -> Hamiltonian:
     if not entries:
         raise HamiltonianFileError(f"{path}: no terms found")
 
+    notations = []
+    for ln, _, text in entries:
+        try:
+            notations.append(pauli_notation(text))
+        except ValueError as exc:
+            raise HamiltonianFileError(f"{path}: line {ln}: {exc}") from None
+
     n = declared_n
     if n is None:
         n = 0
-        for ln, _, text in entries:
-            try:
-                notation = pauli_notation(text)
-            except ValueError as exc:
-                raise HamiltonianFileError(f"{path}: line {ln}: {exc}") from None
-            dense = isinstance(notation, str)
-            width = len(notation) if dense else 1 + max(i for _, i in notation)
+        for (ln, _, _), p in zip(entries, notations):
+            width = len(p) if isinstance(p, str) else 1 + max(i for _, i in p)
             if width > sys.maxsize:
                 raise HamiltonianFileError(
                     f"{path}: line {ln}: qubit index {width - 1} needs more than "
@@ -332,13 +336,12 @@ def load_hamiltonian(path) -> Hamiltonian:
                 )
             n = max(n, width)
 
-    raw: list[tuple[int, float, PauliString]] = []
-    for ln, coeff, text in entries:
+    raw = []
+    for (ln, coeff, text), notation in zip(entries, notations):
         try:
-            pauli = parse_pauli(text, n)
+            raw.append((ln, coeff, _pauli_bits(notation, n, text)))
         except ValueError as exc:
             raise HamiltonianFileError(f"{path}: line {ln}: {exc}") from None
-        raw.append((ln, coeff, pauli))
     return _merge_terms(path, n, raw)
 
 

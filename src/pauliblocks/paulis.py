@@ -78,8 +78,7 @@ class PauliString(_Frozen):
     to share between threads.
     """
 
-    _fields = ("n_qubits", "x_bits", "z_bits")
-    __slots__ = (*_fields, "_hash")  # loading a Hamiltonian hashes each string often
+    __slots__ = _fields = ("n_qubits", "x_bits", "z_bits")
 
     def __init__(self, n_qubits: int, x_bits: int = 0, z_bits: int = 0):
         if n_qubits < 1:
@@ -91,7 +90,6 @@ class PauliString(_Frozen):
         self._set("n_qubits", n_qubits)
         self._set("x_bits", x_bits)
         self._set("z_bits", z_bits)
-        self._set("_hash", hash((n_qubits, x_bits, z_bits)))
 
     @classmethod
     def identity(cls, n_qubits: int) -> "PauliString":
@@ -119,9 +117,6 @@ class PauliString(_Frozen):
             z = (self.z_bits >> i) & 1
             chars.append("IXZY"[x + 2 * z])
         return "".join(chars)
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         return f"PauliString({self.render()!r})"
@@ -224,16 +219,18 @@ def parse_pauli(text: str, n_qubits: int) -> PauliString:
         ValueError: invalid character, index >= n_qubits, duplicate sparse
             index, or wrong dense length.
     """
-    notation = pauli_notation(text)
+    return PauliString(n_qubits, *_pauli_bits(pauli_notation(text), n_qubits, text))
+
+
+def _pauli_bits(notation, n_qubits: int, text: str) -> tuple[int, int]:
+    """(x_bits, z_bits) on n_qubits qubits of `notation`, what pauli_notation(text) gave."""
     if isinstance(notation, str):
         if len(notation) != n_qubits:
             raise ValueError(
                 f"dense Pauli {notation!r} has {len(notation)} characters, expected {n_qubits}"
             )
         reverse = notation[::-1]  # int() reads the last qubit first
-        x = int(reverse.translate(_X_DIGITS), 2)
-        z = int(reverse.translate(_Z_DIGITS), 2)
-        return PauliString(n_qubits, x, z)
+        return int(reverse.translate(_X_DIGITS), 2), int(reverse.translate(_Z_DIGITS), 2)
     x = z = 0
     for letter, idx in notation:
         if idx >= n_qubits:
@@ -245,7 +242,7 @@ def parse_pauli(text: str, n_qubits: int) -> PauliString:
             x |= bit
         if letter != "X":
             z |= bit
-    return PauliString(n_qubits, x, z)
+    return x, z
 
 
 def block_commutes_all(

@@ -823,7 +823,8 @@ class TestKStar:
         assert res.k_star_groups == 2
 
     def test_tolerance_widens_the_match(self):
-        rows = [SweepRow(1, 2, 0.95), SweepRow(2, 2, 1.0)]
+        rows = [SweepRow(1, 2, 0.95), SweepRow(2, 2, 1.0 - 1e-12), SweepRow(3, 2, 1.0)]
+        assert find_k_star(rows, rel_tol=0.0).k_star_rhat == 3  # the exact maximum
         assert find_k_star(rows).k_star_rhat == 2
         assert find_k_star(rows, rel_tol=0.1).k_star_rhat == 1
 

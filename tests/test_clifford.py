@@ -161,6 +161,28 @@ class TestTableau:
         tab = Tableau(1, [(1, 0)], [(1, 0)])
         assert not tab.is_symplectic()
 
+    @pytest.mark.parametrize("kind", ["X", "Z"])
+    def test_like_generators_two_apart_are_checked(self, kind):
+        # the 4-qubit identity with X_2 -> X_2 Z_0 (or Z_2 -> Z_2 X_0): its one
+        # broken pair is (X_0, X_2) (or (Z_0, Z_2)), generators two apart
+        xs = [(1 << j, 0) for j in range(4)]
+        zs = [(0, 1 << j) for j in range(4)]
+        assert Tableau(4, xs, zs).is_symplectic()
+        if kind == "X":
+            xs[2] = (0b100, 0b001)
+        else:
+            zs[2] = (0b001, 0b100)
+        images = xs + zs
+        broken = [
+            (i, j)
+            for i in range(8)
+            for j in range(i + 1, 8)
+            if ((images[i][0] & images[j][1]) ^ (images[i][1] & images[j][0])).bit_count() % 2
+            != (j == i + 4)
+        ]
+        assert broken == ([(0, 2)] if kind == "X" else [(4, 6)])
+        assert not Tableau(4, xs, zs).is_symplectic()
+
     def test_rejects_no_qubits(self):
         with pytest.raises(ValueError, match="positive"):
             Tableau(0, [], [])

@@ -240,24 +240,28 @@ class TestValidityAndScore:
         assert g.r_hat == pytest.approx(3.0, abs=1e-12)
 
     def test_score_sums_left_to_right(self):
-        # 1.0 plus ten 1e-16 terms: a plain left-to-right sum drops every
+        # 1.0 plus ten small terms: a plain left-to-right sum drops every
         # small term, a compensated one (builtin sum() from Python 3.12 on)
         # keeps them, so the last bits of the score would depend on the
-        # interpreter
+        # interpreter; 1e-16 tests the sum of |c|, 1e-8 the sum of squares
         n = 4
         zs = range(1, 12)  # eleven distinct Z strings, all in one group
-        coeffs = [1.0] + [1e-16] * 10
-        terms = (Term(c, PauliString(n, 0, z)) for c, z in zip(coeffs, zs))
-        h = Hamiltonian(n, tuple(terms))
-        g = sorted_insertion(h, BlockSpec.uniform(1, n))
-        assert g.groups == (tuple(range(11)),)
-        scaled = [c / 2.0 for c in coeffs]  # max|c| scaled into [0.5, 1)
         add = functools.partial(functools.reduce, operator.add)
-        numerator = add([abs(c) for c in scaled], 0.0)
-        denominator = math.sqrt(add([c * c for c in scaled], 0.0))
-        expected = (numerator / denominator) ** 2
-        assert g.r_hat.hex() == expected.hex() == (1.0).hex()
-        assert r_hat(h, g).hex() == expected.hex()
+        for small in (1e-16, 1e-8):
+            coeffs = [1.0] + [small] * 10
+            terms = (Term(c, PauliString(n, 0, z)) for c, z in zip(coeffs, zs))
+            h = Hamiltonian(n, tuple(terms))
+            g = sorted_insertion(h, BlockSpec.uniform(1, n))
+            assert g.groups == (tuple(range(11)),)
+            scaled = [c / 2.0 for c in coeffs]  # max|c| scaled into [0.5, 1)
+            numerator = add([abs(c) for c in scaled], 0.0)
+            squares = add([c * c for c in scaled], 0.0)
+            assert squares == 0.25  # every small square dropped
+            expected = (numerator / math.sqrt(squares)) ** 2
+            assert g.r_hat.hex() == expected.hex()
+            assert r_hat(h, g).hex() == expected.hex()
+            if small == 1e-16:  # and every small |c|
+                assert expected.hex() == (1.0).hex()
 
     def test_bacon_shor_single_group_at_column_size(self):
         g = sorted_insertion(bacon_shor(4, 4), BlockSpec.uniform(4, 16))

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import itertools
+import re
 import sys
+import warnings
 
 import pytest
 
@@ -25,6 +27,8 @@ from pauliblocks import (
     save_hamiltonian,
     tfim,
 )
+from pauliblocks import hamiltonians as hamiltonians_module
+from pauliblocks import paulis as paulis_module
 
 
 class TestTypes:
@@ -407,3 +411,86 @@ class TestFiles:
     def test_offset_not_persisted(self):
         h = hardcore_boson_1d(2, 2.0, 1.0)
         assert "offset" not in hamiltonian_to_text(h)
+
+
+class TestPlainBits:
+    """Duplicates are found on (x_bits, z_bits), never by hashing a
+    `PauliString`, and the loader parses each line's Pauli text once."""
+
+    @pytest.fixture
+    def unhashable(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError(f"{self!r} was hashed")
+
+        monkeypatch.setattr(PauliString, "__hash__", refuse)
+
+    @pytest.mark.parametrize("header", ["qubits: 3\n", ""], ids=["header", "no-header"])
+    def test_load_hashes_no_string(self, tmp_path, unhashable, header):
+        path = tmp_path / "h.txt"
+        lines = ["1.0 XYZ", "2.0 X0 Y1 Z2", "0.0 ZZI", "4.0 III", "-1.0 Z0", "1.0 ZII", "0.5 Y1"]
+        path.write_text(header + "\n".join(lines) + "\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            h = load_hamiltonian(path)
+        assert [str(w.message) for w in caught] == [
+            "merging duplicate term XYZ",
+            "dropping zero-coefficient term ZZI",
+            "folding identity term into the constant offset",
+            "merging duplicate term ZII",
+            "term ZII merged to zero and dropped",
+        ]
+        assert [(t.coefficient, t.pauli.render()) for t in h.terms] == [(3.0, "XYZ"), (0.5, "IYI")]
+        assert (h.n_qubits, h.offset) == (3, 4.0)
+
+    def test_generators_hash_no_string(self, unhashable):
+        # seed 3 draws one string twice (see test_tiny_mean_weight_clamps_to_one)
+        h = random_hamiltonian(6, 1e-9, seed=3)
+        assert [t.pauli.render() for t in h.terms] == [
+            "IIIIXI", "IIIIYI", "ZIIIII", "IIIYII", "IZIIII", "IXIIII"
+        ]
+        built = (tfim(5), hardcore_boson_1d(5), bacon_shor(3, 4))
+        assert [g.num_terms for g in built] == [9, 13, 5]
+        p = parse_pauli("XY", 2)
+        with pytest.raises(ValueError, match="duplicate term XY"):
+            Hamiltonian(2, (Term(1.0, p), Term(2.0, parse_pauli("X0 Y1", 2))))
+
+    @pytest.mark.parametrize("header", ["qubits: 3\n", ""], ids=["header", "no-header"])
+    def test_each_pauli_text_is_parsed_once(self, tmp_path, monkeypatch, header):
+        texts = []
+
+        def counting(text, parse=paulis_module.pauli_notation):
+            texts.append(text)
+            return parse(text)
+
+        for module in (paulis_module, hamiltonians_module):
+            monkeypatch.setattr(module, "pauli_notation", counting)
+        path = tmp_path / "h.txt"
+        path.write_text(header + "# comment\n1.0 XYZ\n2.0 X0 Z2\n-1.0 I I Y\n")
+        h = load_hamiltonian(path)
+        assert texts == ["XYZ", "X0 Z2", "I I Y"]
+        assert [t.pauli.render() for t in h.terms] == ["XYZ", "XIZ", "IIY"]
+
+    @pytest.mark.parametrize(
+        "header, wide, width_error",
+        [
+            ("qubits: 4\n", "X4", "qubit index 4 out of range for n=4"),
+            ("", f"X{sys.maxsize}", f"qubit index {sys.maxsize} needs more than sys.maxsize"),
+        ],
+        ids=["header", "no-header"],
+    )
+    def test_errors_come_coefficient_then_syntax_then_width(
+        self, tmp_path, header, wide, width_error
+    ):
+        # the file holds them in the opposite order, one per line
+        first = 1 + header.count("\n")
+        lines = ["1.0 ZZZZ", f"1.0 {wide}", "1.0 Q1", "abc XX"]
+        expected = [
+            f"line {first + 3}: invalid coefficient 'abc'",
+            f"line {first + 2}: cannot parse Pauli 'Q1'",
+            f"line {first + 1}: {width_error}",
+        ]
+        path = tmp_path / "h.txt"
+        for kept, message in zip((4, 3, 2), expected):
+            path.write_text(header + "\n".join(lines[:kept]) + "\n")
+            with pytest.raises(HamiltonianFileError, match=re.escape(message)):
+                load_hamiltonian(path)

@@ -68,6 +68,19 @@ class TestParse:
         with pytest.raises(ValueError):
             parse_pauli(text, n)
 
+    @pytest.mark.parametrize("text", ["Y0 Y0", "Y0 X0", "Z0 Y0", "X1 Y0 Y1"])
+    def test_rejects_repeated_y_index(self, text):
+        # a Y sets both bits, which cancel in x ^ z: the test must read x | z
+        with pytest.raises(ValueError, match=f"duplicate qubit index \\d in {text!r}"):
+            parse_pauli(text, 4)
+
+    @pytest.mark.parametrize("text", ["X4", "Z0 Y4", "X5"])
+    def test_index_past_the_width_names_itself(self, text):
+        # the parser's own message, not PauliString's range check
+        idx = text[-1]
+        with pytest.raises(ValueError, match=f"^qubit index {idx} out of range for n=4$"):
+            parse_pauli(text, 4)
+
     def test_render(self):
         assert parse_pauli("XYZI", 4).render() == "XYZI"
         assert str(parse_pauli("Y1", 3)) == "IYI"
@@ -98,7 +111,7 @@ class TestParse:
 
     def test_immutable(self):
         p = parse_pauli("XY", 2)
-        for name in ("n_qubits", "x_bits", "z_bits", "_hash"):
+        for name in ("n_qubits", "x_bits", "z_bits"):
             with pytest.raises(AttributeError):
                 setattr(p, name, 0)
         # no new attribute either
@@ -111,6 +124,13 @@ class TestParse:
         q = pickle.loads(pickle.dumps(p))
         assert q == p and hash(q) == hash(p) and repr(q) == "PauliString('XIYZ')"
         assert copy.deepcopy(p) == p
+
+    def test_hashes_through_the_value_base(self):
+        # no cached hash of its own: the same rule as every other value type
+        assert PauliString.__slots__ == PauliString._fields == ("n_qubits", "x_bits", "z_bits")
+        assert "__hash__" not in vars(PauliString)
+        for n, x, z in [(1, 0, 0), (3, 1, 2), (80, 1 << 79, 5), (10**12, 1, 2)]:
+            assert hash(PauliString(n, x, z)) == hash((n, x, z))
 
     def test_equality_is_by_value_only(self):
         assert PauliString(3, 1, 2) == PauliString(n_qubits=3, x_bits=1, z_bits=2)
