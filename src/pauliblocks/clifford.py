@@ -21,7 +21,9 @@ import operator
 import random
 from typing import Iterable, Sequence
 
-from .paulis import BlockSpec, PauliString, _Frozen, block_commutes_all, first_noncommuting_pair
+from .paulis import (
+    BlockSpec, PauliString, _Frozen, _transpose, block_commutes_all, first_noncommuting_pair,
+)
 
 __all__ = [
     "Gate",
@@ -135,13 +137,6 @@ def _apply_to_columns(kind: str, qubits: tuple[int, ...], xs, zs) -> None:
         zs[c] ^= zs[t]
 
 
-def _transpose(columns: Sequence[int], height: int) -> list[int]:
-    """Transpose a bit matrix: bit q of row r is bit r of columns[q]."""
-    # reversed strings put row r at index r; the last column is the top digit
-    digits = [format(c, f"0{height}b")[::-1] for c in reversed(columns)]
-    return [int("".join(row), 2) for row in zip(*digits)]
-
-
 class Tableau(_Frozen):
     """Symplectic action of a circuit on the phaseless Pauli generators.
 
@@ -183,7 +178,9 @@ class Tableau(_Frozen):
         zs = [1 << (n + q) for q in range(n)]
         for gate in circuit.gates:
             _apply_to_columns(gate.kind, gate.qubits, xs, zs)
-        images = list(zip(_transpose(xs, 2 * n), _transpose(zs, 2 * n)))
+        x_rows, z_rows = [0] * (2 * n), [0] * (2 * n)
+        _transpose(zip(xs, zs), x_rows, z_rows)
+        images = list(zip(x_rows, z_rows))
         return cls(n, images[:n], images[n:])
 
     def apply(self, pauli: PauliString) -> PauliString:
@@ -250,12 +247,7 @@ def _diagonalize_block(rows: Sequence[Sequence[int]], qubits: range) -> list[tup
     bit on that pivot. Any other failure breaks an invariant: RuntimeError.
     """
     xs, zs = dict.fromkeys(qubits, 0), dict.fromkeys(qubits, 0)
-    for i, (x, z) in enumerate(rows):
-        for cols, bits in ((xs, x), (zs, z)):
-            while bits:
-                low = bits & -bits
-                cols[low.bit_length() - 1] |= 1 << i
-                bits ^= low
+    _transpose(rows, xs, zs)
     open_rows = (1 << len(rows)) - 1  # rows not yet fixed; bit i is row i
     gates: list[tuple] = []
 

@@ -20,7 +20,7 @@ import random
 from typing import Iterable, NamedTuple, Sequence
 
 from .hamiltonians import Hamiltonian
-from .paulis import BlockSpec, _Frozen, block_commutes_all, first_noncommuting_pair
+from .paulis import BlockSpec, _Frozen, _transpose, block_commutes_all, first_noncommuting_pair
 
 __all__ = [
     "Grouping",
@@ -110,20 +110,9 @@ def _columns(t: _Terms, order: Sequence[int]) -> _Columns:
     over the terms in insertion-rank space, bit r standing for term order[r].
     A string that is X on that qubit anticommutes there with the terms in
     the z column, Z with the x column and Y with the x ^ z column."""
-    xcol: dict[int, int] = {}
-    zcol: dict[int, int] = {}
-    for r, i in enumerate(order):
-        for col, bits in ((xcol, t.xs[i]), (zcol, t.zs[i])):
-            while bits:
-                low = bits & -bits
-                q = low.bit_length() - 1
-                col[q] = col.get(q, 0) | (1 << r)
-                bits ^= low
-    cols = {}
-    for q in xcol.keys() | zcol.keys():
-        xc, zc = xcol.get(q, 0), zcol.get(q, 0)
-        cols[q] = (xc, zc, xc ^ zc)
-    return cols
+    xcol, zcol = [0] * t.n_qubits, [0] * t.n_qubits
+    _transpose(((t.xs[i], t.zs[i]) for i in order), xcol, zcol)
+    return {q: (xc, zc, xc ^ zc) for q, (xc, zc) in enumerate(zip(xcol, zcol)) if xc | zc}
 
 
 def _anti(cols: _Columns, x: int, z: int) -> list[tuple[int, int]]:

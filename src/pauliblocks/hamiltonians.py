@@ -99,7 +99,16 @@ def _merge_terms(path, n_qubits: int, raw: list[tuple[int, float, tuple]]) -> Ha
             names the line.
     """
     def text(bits: tuple[int, int]) -> str:  # how warnings and errors name a string
-        return PauliString(n_qubits, *bits).render()
+        if n_qubits <= 1024:
+            return PauliString(n_qubits, *bits).render()
+        x, z = bits
+        tokens = []
+        support = x | z
+        while support:  # sparse past 1,024 qubits: the cost follows the support, not n
+            low = support & -support
+            tokens.append(f"{'IXZY'[bool(x & low) + 2 * bool(z & low)]}{low.bit_length() - 1}")
+            support ^= low
+        return " ".join(tokens) or "identity"
 
     offset = 0.0
     acc: dict[tuple[int, int], float] = {}

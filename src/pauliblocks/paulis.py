@@ -245,6 +245,20 @@ def _pauli_bits(notation, n_qubits: int, text: str) -> tuple[int, int]:
     return x, z
 
 
+def _transpose(rows: Iterable[Sequence[int]], xs, zs) -> None:
+    """Fill the columns of (x, z) rows in place: for each row r, set bit r
+    of xs[q] for every qubit q set in its x, and of zs[q] for every q set in
+    its z. xs and zs, lists or dicts, must hold every such q. Given the
+    columns as rows, it fills the rows: the transpose is its own inverse."""
+    for r, (x, z) in enumerate(rows):
+        bit = 1 << r
+        for cols, bits in ((xs, x), (zs, z)):
+            while bits:
+                low = bits & -bits
+                cols[low.bit_length() - 1] |= bit
+                bits ^= low
+
+
 def block_commutes_all(
     x: int, z: int, members: Iterable[tuple[int, int]], masks: Sequence[int]
 ) -> bool:

@@ -81,6 +81,20 @@ MUTANTS = [
         ("test_paulis.py",),
     ),
     Mutant(
+        "kernel: Y anticommutes with Y",
+        "paulis.py",
+        "anti = (x & mz) ^ (z & mx)",
+        "anti = (x & mz) | (z & mx)",
+        ("test_paulis.py",),
+    ),
+    Mutant(
+        "transpose fills the column one qubit up",
+        "paulis.py",
+        "cols[low.bit_length() - 1] |= bit",
+        "cols[low.bit_length()] |= bit",
+        ("test_paulis.py",),
+    ),
+    Mutant(
         "column fit keeps its accepted bit",
         "grouping.py",
         "candidates &= ~(hit | parity | low)",
@@ -214,6 +228,20 @@ MUTANTS = [
         "clifford.py",
         "if xs[pivot] & open_rows:",
         "if False:",
+        ("test_clifford.py",),
+    ),
+    Mutant(
+        "independent rows drop the z bit on the block's last qubit",
+        "clifford.py",
+        "mask = (1 << width) - 1",
+        "mask = (1 << width - 1) - 1",
+        ("test_clifford.py",),
+    ),
+    Mutant(
+        "depth layers a gate after its shallowest qubit",
+        "clifford.py",
+        "layer = 1 + max(last.get(q, 0) for q in qubits)",
+        "layer = 1 + min(last.get(q, 0) for q in qubits)",
         ("test_clifford.py",),
     ),
     Mutant(

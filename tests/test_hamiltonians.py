@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import re
 import sys
+import time
 import warnings
 
 import pytest
@@ -357,6 +358,29 @@ class TestFiles:
         h = load_hamiltonian(path)
         assert h.n_qubits == 99999999999
         assert [(t.pauli.x_bits, t.pauli.z_bits) for t in h.terms] == [(1, 0)]
+
+    def test_huge_width_warns_in_time(self, tmp_path):
+        # a warning names a wide string by its support, so that its cost
+        # follows the support, not the declared width
+        path = tmp_path / "h.txt"
+        path.write_text("qubits: 4000000\n1.0 X0\n1.0 X0\n")
+        start = time.perf_counter()
+        with pytest.warns(UserWarning, match="^merging duplicate term X0$"):
+            h = load_hamiltonian(path)
+        assert time.perf_counter() - start < 0.1
+        assert [t.coefficient for t in h.terms] == [2.0]
+
+    @pytest.mark.parametrize("n", [1024, 1025])
+    def test_strings_past_1024_qubits_are_named_sparse(self, tmp_path, n):
+        path = tmp_path / "h.txt"
+        path.write_text(f"qubits: {n}\n0.0 Y3 Z{n - 1}\n0.0 {'I' * n}\n1.0 X0\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            load_hamiltonian(path)
+        names = [f"IIIY{'I' * (n - 5)}Z", "I" * n] if n == 1024 else [f"Y3 Z{n - 1}", "identity"]
+        assert [str(w.message) for w in caught] == [
+            f"dropping zero-coefficient term {name}" for name in names
+        ]
 
     def test_width_of_sys_maxsize_loads(self, tmp_path):
         path = tmp_path / "h.txt"

@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import itertools
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -383,3 +384,36 @@ class TestCoarseningImplication:
         p, q = parse_pauli("XX", 2), parse_pauli("ZZ", 2)
         assert k_commutes(p, q, BlockSpec.uniform(2, 2))
         assert not k_commutes(p, q, BlockSpec.uniform(1, 2))
+
+
+class TestTranspose:
+    """`paulis._transpose` fills columns from (x, z) rows, and rows from columns."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rows_to_columns_and_back(self, seed):
+        rng = random.Random(seed)
+        n, height = rng.randint(1, 70), rng.randint(1, 90)
+        rows = [(rng.getrandbits(n), rng.getrandbits(n)) for _ in range(height)]
+        for r in rng.sample(range(height), height // 4):
+            rows[r] = (0, 0)
+        xs, zs = [0] * n, [0] * n
+        paulis._transpose(rows, xs, zs)
+        assert all(
+            (xs[q] >> r & 1, zs[q] >> r & 1) == (x >> q & 1, z >> q & 1)
+            for r, (x, z) in enumerate(rows)
+            for q in range(n)
+        )
+        x_rows, z_rows = [0] * height, [0] * height
+        paulis._transpose(zip(xs, zs), x_rows, z_rows)
+        assert list(zip(x_rows, z_rows)) == rows
+
+    def test_zero_and_no_rows(self):
+        # dict columns, as a block's synthesis keys them by its own qubits
+        xs, zs = dict.fromkeys(range(2, 5), 0), dict.fromkeys(range(2, 5), 0)
+        paulis._transpose([(0, 0), (0b10100, 0b01000), (0, 0)], xs, zs)
+        assert (xs, zs) == ({2: 0b010, 3: 0, 4: 0b010}, {2: 0, 3: 0b010, 4: 0})
+        paulis._transpose([], xs, zs)
+        assert (xs, zs) == ({2: 0b010, 3: 0, 4: 0b010}, {2: 0, 3: 0b010, 4: 0})
+        x_rows, z_rows = [], []
+        paulis._transpose([(0, 0)] * 3, x_rows, z_rows)  # the columns of no rows are zero
+        assert (x_rows, z_rows) == ([], [])
