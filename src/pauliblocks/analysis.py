@@ -427,4 +427,6 @@ def min_circuit_depth(d_gates: float, n: int) -> int:
     """Minimum possible depth of an n-qubit circuit with d gates."""
     if n < 1:
         raise ValueError("n must be positive")
+    if not 0 <= d_gates < math.inf:
+        raise ValueError(f"gate count must be finite and non-negative, got {d_gates}")
     return math.ceil(d_gates / n)

@@ -334,7 +334,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:  # a broken pool is a RuntimeError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError:  # its message is empty

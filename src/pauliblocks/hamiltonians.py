@@ -64,13 +64,14 @@ class Hamiltonian(_Frozen):
         self._set("offset", offset)
         seen = set()  # (x_bits, z_bits) of each term so far
         for p in (t.pauli for t in self.terms):
+            bits = p.x_bits, p.z_bits
             if p.n_qubits != n_qubits:
-                raise ValueError(f"term {p} acts on {p.n_qubits} qubits, expected {n_qubits}")
+                name = _name(p.n_qubits, *bits)
+                raise ValueError(f"term {name} acts on {p.n_qubits} qubits, expected {n_qubits}")
             if p.is_identity:
                 raise ValueError("identity terms must be carried in the offset")
-            bits = p.x_bits, p.z_bits
             if bits in seen:
-                raise ValueError(f"duplicate term {p}")
+                raise ValueError(f"duplicate term {_name(n_qubits, *bits)}")
             seen.add(bits)
 
     @property
@@ -88,6 +89,24 @@ class HamiltonianFileError(ValueError):
     """Raised for malformed term-list files; message carries the line number."""
 
 
+def _line_error(path, ln: int, message: str) -> HamiltonianFileError:
+    """The error to raise for line `ln` (1-based) of the term-list file `path`."""
+    return HamiltonianFileError(f"{path}: line {ln}: {message}")
+
+
+def _name(n: int, x: int, z: int) -> str:
+    """A string as messages name it: dense up to 1,024 qubits, sparse past that."""
+    if n <= 1024:
+        return PauliString(n, x, z).render()
+    tokens = []  # "X0 Z3", or "identity": the cost follows the support, not n
+    support = x | z
+    while support:
+        low = support & -support
+        tokens.append(f"{'IXZY'[bool(x & low) + 2 * bool(z & low)]}{low.bit_length() - 1}")
+        support ^= low
+    return " ".join(tokens) or "identity"
+
+
 def _merge_terms(path, n_qubits: int, raw: list[tuple[int, float, tuple]]) -> Hamiltonian:
     """Merge duplicate strings, fold identities into the offset, drop zeros.
 
@@ -98,46 +117,31 @@ def _merge_terms(path, n_qubits: int, raw: list[tuple[int, float, tuple]]) -> Ha
         HamiltonianFileError: a merge or the offset overflows; the message
             names the line.
     """
-    def text(bits: tuple[int, int]) -> str:  # how warnings and errors name a string
-        if n_qubits <= 1024:
-            return PauliString(n_qubits, *bits).render()
-        x, z = bits
-        tokens = []
-        support = x | z
-        while support:  # sparse past 1,024 qubits: the cost follows the support, not n
-            low = support & -support
-            tokens.append(f"{'IXZY'[bool(x & low) + 2 * bool(z & low)]}{low.bit_length() - 1}")
-            support ^= low
-        return " ".join(tokens) or "identity"
-
     offset = 0.0
     acc: dict[tuple[int, int], float] = {}
     for ln, coeff, bits in raw:
         if coeff == 0.0:
-            warnings.warn(f"dropping zero-coefficient term {text(bits)}")
+            warnings.warn(f"dropping zero-coefficient term {_name(n_qubits, *bits)}")
             continue
         if bits == (0, 0):
             warnings.warn("folding identity term into the constant offset")
             offset += coeff
             if not math.isfinite(offset):
-                raise HamiltonianFileError(
-                    f"{path}: line {ln}: folding identity term into the offset "
-                    f"gives a non-finite offset {offset}"
-                )
+                message = "folding identity term into the offset gives a non-finite offset"
+                raise _line_error(path, ln, f"{message} {offset}")
             continue
         total = acc.get(bits, 0.0) + coeff  # coeff itself on a first sight
         if bits in acc:
+            name = _name(n_qubits, *bits)
             if not math.isfinite(total):
-                raise HamiltonianFileError(
-                    f"{path}: line {ln}: merging duplicate term {text(bits)} "
-                    f"gives a non-finite coefficient {total}"
-                )
-            warnings.warn(f"merging duplicate term {text(bits)}")
+                message = f"merging duplicate term {name} gives a non-finite coefficient {total}"
+                raise _line_error(path, ln, message)
+            warnings.warn(f"merging duplicate term {name}")
         acc[bits] = total
     terms = []
     for bits, coeff in acc.items():
         if coeff == 0.0:
-            warnings.warn(f"term {text(bits)} merged to zero and dropped")
+            warnings.warn(f"term {_name(n_qubits, *bits)} merged to zero and dropped")
             continue
         terms.append(Term(coeff, PauliString(n_qubits, *bits)))
     return Hamiltonian(n_qubits, tuple(terms), offset)
@@ -288,39 +292,26 @@ def load_hamiltonian(path) -> Hamiltonian:
             continue
         if stripped.lower().startswith("qubits:"):
             if entries or declared_n is not None:
-                raise HamiltonianFileError(
-                    f"{path}: line {ln}: 'qubits:' header must be the first non-comment line"
-                )
+                raise _line_error(path, ln, "'qubits:' header must be the first non-comment line")
             try:
                 declared_n = int(stripped.split(":", 1)[1])
             except ValueError:
-                raise HamiltonianFileError(
-                    f"{path}: line {ln}: cannot parse qubit count from {stripped!r}"
-                ) from None
+                message = f"cannot parse qubit count from {stripped!r}"
+                raise _line_error(path, ln, message) from None
             if declared_n < 1:
-                raise HamiltonianFileError(
-                    f"{path}: line {ln}: qubit count must be positive"
-                )
+                raise _line_error(path, ln, "qubit count must be positive")
             if declared_n > sys.maxsize:
-                raise HamiltonianFileError(
-                    f"{path}: line {ln}: qubit count {declared_n} exceeds sys.maxsize"
-                )
+                raise _line_error(path, ln, f"qubit count {declared_n} exceeds sys.maxsize")
             continue
         fields = stripped.split(None, 1)
         if len(fields) != 2:
-            raise HamiltonianFileError(
-                f"{path}: line {ln}: expected '<coefficient> <pauli>', got {stripped!r}"
-            )
+            raise _line_error(path, ln, f"expected '<coefficient> <pauli>', got {stripped!r}")
         try:
             coeff = float(fields[0])
         except ValueError:
-            raise HamiltonianFileError(
-                f"{path}: line {ln}: invalid coefficient {fields[0]!r}"
-            ) from None
+            raise _line_error(path, ln, f"invalid coefficient {fields[0]!r}") from None
         if not math.isfinite(coeff):
-            raise HamiltonianFileError(
-                f"{path}: line {ln}: coefficient must be finite, got {fields[0]!r}"
-            )
+            raise _line_error(path, ln, f"coefficient must be finite, got {fields[0]!r}")
         entries.append((ln, coeff, fields[1]))
 
     if not entries:
@@ -331,7 +322,7 @@ def load_hamiltonian(path) -> Hamiltonian:
         try:
             notations.append(pauli_notation(text))
         except ValueError as exc:
-            raise HamiltonianFileError(f"{path}: line {ln}: {exc}") from None
+            raise _line_error(path, ln, str(exc)) from None
 
     n = declared_n
     if n is None:
@@ -339,10 +330,8 @@ def load_hamiltonian(path) -> Hamiltonian:
         for (ln, _, _), p in zip(entries, notations):
             width = len(p) if isinstance(p, str) else 1 + max(i for _, i in p)
             if width > sys.maxsize:
-                raise HamiltonianFileError(
-                    f"{path}: line {ln}: qubit index {width - 1} needs more than "
-                    "sys.maxsize qubits"
-                )
+                message = f"qubit index {width - 1} needs more than sys.maxsize qubits"
+                raise _line_error(path, ln, message)
             n = max(n, width)
 
     raw = []
@@ -350,7 +339,7 @@ def load_hamiltonian(path) -> Hamiltonian:
         try:
             raw.append((ln, coeff, _pauli_bits(notation, n, text)))
         except ValueError as exc:
-            raise HamiltonianFileError(f"{path}: line {ln}: {exc}") from None
+            raise _line_error(path, ln, str(exc)) from None
     return _merge_terms(path, n, raw)
 
 

@@ -154,6 +154,13 @@ MUTANTS = [
         ("test_analysis.py",),
     ),
     Mutant(
+        "depth floor accepts a negative, NaN or infinite gate count",
+        "analysis.py",
+        "if not 0 <= d_gates < math.inf:",
+        "if False:",
+        ("test_analysis.py",),
+    ),
+    Mutant(
         "pool maps one item per chunk",
         "analysis.py",
         "chunksize = math.ceil(len(items) / (4 * workers))",
@@ -266,11 +273,32 @@ MUTANTS = [
         ("test_hamiltonians.py",),
     ),
     Mutant(
+        "term-file errors name the line before",
+        "hamiltonians.py",
+        'f"{path}: line {ln}: {message}"',
+        'f"{path}: line {ln - 1}: {message}"',
+        ("test_hamiltonians.py",),
+    ),
+    Mutant(
+        "messages name a 1,024-qubit string sparse",
+        "hamiltonians.py",
+        "if n <= 1024:",
+        "if n < 1024:",
+        ("test_hamiltonians.py",),
+    ),
+    Mutant(
         "random_hamiltonian draws one term too few",
         "hamiltonians.py",
         "while len(drawn) < n:",
         "while len(drawn) < n - 1:",
         ("test_hamiltonians.py",),
+    ),
+    Mutant(
+        "main lets a broken pool's RuntimeError through",
+        "cli.py",
+        "except (ValueError, OSError, RuntimeError) as exc:",
+        "except (ValueError, OSError) as exc:",
+        ("test_cli.py",),
     ),
     Mutant(
         "import pauliblocks loads analysis and clifford",

@@ -297,6 +297,11 @@ class TestGateBound:
         with pytest.raises(ValueError, match="n must be positive"):
             min_circuit_depth(9, 0)
 
+    @pytest.mark.parametrize("d_gates", [-5, -1e-9, math.nan, math.inf, -math.inf])
+    def test_depth_floor_rejects_a_bad_gate_count(self, d_gates):
+        with pytest.raises(ValueError, match="gate count must be finite and non-negative"):
+            min_circuit_depth(d_gates, 4)
+
 
 @pytest.mark.usefixtures("deadline")
 class TestSweep:

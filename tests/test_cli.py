@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import concurrent.futures
 import csv
 import io
 import json
@@ -10,6 +11,7 @@ import random
 import subprocess
 import sys
 import warnings
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -247,6 +249,28 @@ class TestKstarBoundDiag:
             == 0
         )
         assert json.loads(capsys.readouterr().out)[0]["num_seeds"] == 4
+
+    def test_a_dead_worker_prints_one_error_line(self, capsys, monkeypatch, pool_at_any_work):
+        # a worker killed by a signal or the OOM killer breaks the pool, and
+        # the pool's map raises BrokenProcessPool, a RuntimeError
+        class BrokenPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                raise BrokenProcessPool("a worker process was terminated abruptly")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", BrokenPool)
+        assert run_cli("kstar", "tfim", "--sizes", "4,5,6", "--jobs", "2") == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: a worker process was terminated abruptly\n"  # no traceback
 
     def test_kstar_csv_and_json_agree(self, capsys):
         assert run_cli("kstar", "tfim", "--sizes", "4,8", "--jobs", "1") == 0

@@ -57,6 +57,20 @@ class TestTypes:
         with pytest.raises(ValueError):
             Hamiltonian(3, (Term(1.0, parse_pauli("XY", 2)),))
 
+    @pytest.mark.parametrize("n", [1024, 4_000_000])
+    def test_hamiltonian_names_a_string_as_the_loader_does(self, n):
+        # dense up to 1,024 qubits; past that by its support, so in time
+        p = PauliString(n, 1, 0)
+        name = "X" + "I" * (n - 1) if n == 1024 else "X0"
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as raised:
+            Hamiltonian(n, (Term(1.0, p), Term(2.0, p)))
+        assert time.perf_counter() - start < 0.1
+        assert str(raised.value) == f"duplicate term {name}"
+        with pytest.raises(ValueError) as raised:
+            Hamiltonian(2, (Term(1.0, p),))
+        assert str(raised.value) == f"term {name} acts on {n} qubits, expected 2"
+
     @pytest.mark.parametrize("offset", [float("nan"), float("inf"), -float("inf")])
     def test_hamiltonian_rejects_non_finite_offset(self, offset):
         with pytest.raises(ValueError, match="offset must be finite"):
