@@ -12,6 +12,7 @@ check the other.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from collections import Counter
 from typing import Callable, Iterable, Sequence
@@ -104,7 +105,7 @@ def _map(fn: Callable, items: list, jobs: int, work: Iterable[int]) -> list:
     takes the items in chunks, about four per worker. The pool is imported
     only here: importing it loads multiprocessing, which serial runs need
     not."""
-    if jobs < 1:
+    if operator.index(jobs) < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     if jobs > 1 and len(items) > 1 and _reaches(work, _POOL_MIN_WORK):
         from concurrent.futures import ProcessPoolExecutor
@@ -159,7 +160,7 @@ def k_sweep(
     `jobs` of them, and only when the synthesis is estimated to take
     `_POOL_MIN_WORK` steps; a sweep without circuits starts none.
     """
-    ks = sorted(set(int(k) for k in ks))
+    ks = sorted(set(map(operator.index, ks)))
     if not ks:
         raise ValueError("no block sizes given")
     for k in ks:
@@ -167,7 +168,7 @@ def k_sweep(
             raise ValueError(f"block size {k} out of range [1, {h.n_qubits}]")
     t = _terms(h)
     order = _order(t, algorithm, seed)
-    if jobs < 1:
+    if operator.index(jobs) < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     swept = _sweep_groups(t, order, ks)
     if not with_circuits:
@@ -242,10 +243,10 @@ def k_star_scaling(
     """
     import statistics  # for the random family's mean and spread
 
-    sizes = list(dict.fromkeys(int(n) for n in sizes))
+    sizes = list(dict.fromkeys(map(operator.index, sizes)))
     if not sizes:
         raise ValueError("no sizes given")
-    seed_list = None if seeds is None else [int(s) for s in seeds]
+    seed_list = None if seeds is None else list(map(operator.index, seeds))
     if seed_list is not None and not seed_list:
         raise ValueError("empty seed list")
     per_size = [None] if seed_list is None else seed_list
@@ -323,6 +324,7 @@ def max_set_size_check(n: int, blocks: BlockSpec) -> int:
     multiplication, and non-extendable by any outside string. Returns the
     set size, which the theory pins at 2^n.
     """
+    n = operator.index(n)
     if n > 4:
         raise ValueError(f"exhaustive check supports n <= 4, got {n}")
     blocks.require_n(n)
@@ -366,6 +368,7 @@ def max_set_size_check(n: int, blocks: BlockSpec) -> int:
 def count_linearly_independent_sets(dim: int, r: int) -> int:
     """Number of r-element sets of linearly independent vectors in a
     dim-dimensional binary vector space: (1/r!) * prod_{k<r} (2^dim - 2^k)."""
+    dim, r = operator.index(dim), operator.index(r)
     if dim < 1 or not 1 <= r <= dim:
         raise ValueError(f"need 1 <= r <= dim, got r={r}, dim={dim}")
     product = 1
@@ -383,6 +386,7 @@ def count_independent_commuting_sets(n: int, r: int) -> int:
     Zero when r exceeds n, since a commuting subgroup has at most 2^n
     elements and therefore at most n independent generators.
     """
+    n, r = operator.index(n), operator.index(r)
     if n < 1 or r < 1:
         raise ValueError(f"need n >= 1 and r >= 1, got n={n}, r={r}")
     product = 1
@@ -410,6 +414,7 @@ def diag_gate_lower_bound(n: int, r: int) -> float:
     for bit the term-by-term sum while the series stays below 2^53, and
     rounded once instead of per term past it.
     """
+    n, r = operator.index(n), operator.index(r)
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     if n > sys.maxsize:
@@ -424,9 +429,13 @@ def diag_gate_lower_bound(n: int, r: int) -> float:
 
 
 def min_circuit_depth(d_gates: float, n: int) -> int:
-    """Minimum possible depth of an n-qubit circuit with d gates."""
+    """Minimum possible depth of an n-qubit circuit with d gates: the
+    ceiling of d / n, exact for an int d of any size."""
+    n = operator.index(n)
     if n < 1:
         raise ValueError("n must be positive")
     if not 0 <= d_gates < math.inf:
         raise ValueError(f"gate count must be finite and non-negative, got {d_gates}")
+    if isinstance(d_gates, int):
+        return -(-d_gates // n)
     return math.ceil(d_gates / n)

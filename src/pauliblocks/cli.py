@@ -334,11 +334,11 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, RuntimeError) as exc:  # a broken pool is a RuntimeError
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except MemoryError:  # its message is empty
         print("error: out of memory", file=sys.stderr)
+        return 1
+    except Exception as exc:  # a library error, a broken pool's included
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

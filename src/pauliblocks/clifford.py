@@ -52,7 +52,7 @@ class Gate(_Frozen):
         arity = 2 if kind == "CNOT" else 1
         if len(qubits) != arity:
             raise ValueError(f"{kind} takes {arity} qubit(s), got {qubits}")
-        if any(q < 0 for q in qubits):
+        if min(map(operator.index, qubits)) < 0:  # a float raises TypeError
             raise ValueError(f"negative qubit index in {qubits}")
         if kind == "CNOT" and qubits[0] == qubits[1]:
             raise ValueError("CNOT control and target must differ")
@@ -80,6 +80,7 @@ class CliffordCircuit(_Frozen):
 
     def __init__(self, n_qubits: int, gates: tuple[Gate, ...]):
         self._set("gates", tuple(gates))
+        n_qubits = operator.index(n_qubits)
         if n_qubits < 1:
             raise ValueError(f"n_qubits must be positive, got {n_qubits}")
         for g in self.gates:
@@ -388,7 +389,7 @@ def random_circuit(n_qubits: int, n_gates: int, seed: int) -> CliffordCircuit:
     """A seeded random circuit over {CNOT, H, S} (CNOT only when n >= 2)."""
     if n_qubits < 1 or n_gates < 0:
         raise ValueError("need n_qubits >= 1 and n_gates >= 0")
-    rng = random.Random(seed)
+    rng = random.Random(operator.index(seed))
     kinds = _KINDS if n_qubits >= 2 else ("H", "S")
     gates = []
     for _ in range(n_gates):

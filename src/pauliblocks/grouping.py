@@ -101,55 +101,38 @@ def _terms(h: Hamiltonian) -> _Terms:
     return _Terms(h.n_qubits, xs, zs, order, scaled, numerator)
 
 
-# qubit -> its (x, z, x ^ z) columns, masks over the terms by insertion rank
-_Columns = dict[int, tuple[int, int, int]]
-
-
-def _columns(t: _Terms, order: Sequence[int]) -> _Columns:
-    """For each qubit some term acts on, its (x, z, x ^ z) columns: masks
-    over the terms in insertion-rank space, bit r standing for term order[r].
-    A string that is X on that qubit anticommutes there with the terms in
-    the z column, Z with the x column and Y with the x ^ z column."""
-    xcol, zcol = [0] * t.n_qubits, [0] * t.n_qubits
-    _transpose(((t.xs[i], t.zs[i]) for i in order), xcol, zcol)
-    return {q: (xc, zc, xc ^ zc) for q, (xc, zc) in enumerate(zip(xcol, zcol)) if xc | zc}
-
-
-def _anti(cols: _Columns, x: int, z: int) -> list[tuple[int, int]]:
-    """(qubit, mask of the terms anticommuting with (x, z) on that qubit) for
-    each qubit in the support of (x, z), in increasing qubit order."""
-    out = []
-    bits = x | z
-    while bits:
-        low = bits & -bits
-        q = low.bit_length() - 1
-        xc, zc, yc = cols[q]
-        out.append((q, (yc if z & low else zc) if x & low else xc))
-        bits ^= low
-    return out
-
-
 def _anti_table(
     t: _Terms, order: Sequence[int]
 ) -> tuple[list[list[tuple[int, int]]], list[tuple[int, int]]]:
     """(antis, cuts) over the terms in `order`, for a sweep of block sizes.
 
-    antis[r] is `_anti(cols, x, z)` of term order[r] over the columns
-    `_columns(t, order)`: its pairs reference the columns' own ints, so the
-    table grows linearly in the term count. cuts holds, sorted, every pair
-    of consecutive split qubits of some term: the qubits whose column holds
-    one of its even partners, the terms it anticommutes with on a nonzero
-    even number of qubits.
+    antis[r] pairs each qubit q that term order[r] acts on, in increasing
+    q, with the mask of the terms anticommuting with it there, bit s
+    standing for term order[s]: q's z column for an X, its x column for a
+    Z and its x ^ z column for a Y. The pairs reference the columns' own
+    ints, so the table grows linearly in the term count. cuts holds,
+    sorted, every pair of consecutive split qubits of some term: the
+    qubits whose mask holds one of its even partners, the terms it
+    anticommutes with on a nonzero even number of qubits.
     """
-    cols = _columns(t, order)
+    xcol, zcol = [0] * t.n_qubits, [0] * t.n_qubits
+    _transpose(((t.xs[i], t.zs[i]) for i in order), xcol, zcol)
+    ycol = list(map(operator.xor, xcol, zcol))
     antis = []
     cuts: set[tuple[int, int]] = set()
     for i in order:
-        anti = _anti(cols, t.xs[i], t.zs[i])
+        x, z = t.xs[i], t.zs[i]
+        anti = []
         hit = odd = 0
-        for _, a in anti:
+        bits = x | z
+        while bits:
+            low = bits & -bits
+            q = low.bit_length() - 1
+            a = (ycol[q] if z & low else zcol[q]) if x & low else xcol[q]
+            anti.append((q, a))
             hit |= a
             odd ^= a
+            bits ^= low
         even = hit & ~odd
         qs = [q for q, a in anti if a & even]
         cuts.update(zip(qs, qs[1:]))
@@ -342,7 +325,7 @@ def _order(t: _Terms, algorithm: str, seed: int | None) -> list[int]:
         if seed is None:
             raise ValueError("random insertion requires a seed")
         order = list(range(len(t.xs)))
-        random.Random(seed).shuffle(order)
+        random.Random(operator.index(seed)).shuffle(order)
     else:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     if not order:

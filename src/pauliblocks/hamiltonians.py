@@ -10,6 +10,7 @@ exponentially distributed weights.
 from __future__ import annotations
 
 import math
+import operator
 import random
 import sys
 import warnings
@@ -55,6 +56,7 @@ class Hamiltonian(_Frozen):
     __slots__ = _fields = ("n_qubits", "terms", "offset")
 
     def __init__(self, n_qubits: int, terms: tuple[Term, ...], offset: float = 0.0):
+        n_qubits = operator.index(n_qubits)
         if n_qubits < 1:
             raise ValueError("n_qubits must be positive")
         if not math.isfinite(offset):
@@ -244,7 +246,7 @@ def random_hamiltonian(n: int, w: float, seed: int) -> Hamiltonian:
         raise ValueError(f"qubit count {n} exceeds sys.maxsize")
     if not 0 < w < math.inf:
         raise ValueError(f"mean weight w must be positive and finite, got {w}")
-    rng = random.Random(seed)
+    rng = random.Random(operator.index(seed))
     # (x_bits, z_bits), insertion-ordered; a repeat is a no-op and the loop draws again
     drawn: dict[tuple[int, int], None] = {}
     while len(drawn) < n:

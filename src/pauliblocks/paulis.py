@@ -15,6 +15,7 @@ the same test to each block of an ordered qubit partition, and
 
 from __future__ import annotations
 
+import operator
 import re
 from typing import Iterable, Iterator, Sequence
 
@@ -81,11 +82,12 @@ class PauliString(_Frozen):
     __slots__ = _fields = ("n_qubits", "x_bits", "z_bits")
 
     def __init__(self, n_qubits: int, x_bits: int = 0, z_bits: int = 0):
+        n_qubits = operator.index(n_qubits)
         if n_qubits < 1:
             raise ValueError(f"n_qubits must be positive, got {n_qubits}")
         # bit_length, not a comparison with 1 << n_qubits, so that a wide
-        # string costs no n_qubits-bit integer
-        if x_bits < 0 or z_bits < 0 or (x_bits | z_bits).bit_length() > n_qubits:
+        # string costs no n_qubits-bit integer; x | z < 0 iff x or z is
+        if (bits := x_bits | z_bits) < 0 or bits.bit_length() > n_qubits:
             raise ValueError(f"bit vectors out of range for {n_qubits} qubits")
         self._set("n_qubits", n_qubits)
         self._set("x_bits", x_bits)
@@ -138,7 +140,7 @@ class BlockSpec(_Frozen):
     __slots__ = (*_fields, "spans", "masks", "home")
 
     def __init__(self, sizes: tuple[int, ...]):
-        sizes = tuple(map(int, sizes))
+        sizes = tuple(map(operator.index, sizes))
         if not sizes:
             raise ValueError("BlockSpec needs at least one block")
         if min(sizes) < 1:
@@ -162,6 +164,7 @@ class BlockSpec(_Frozen):
     def uniform(cls, k: int, n_qubits: int) -> "BlockSpec":
         """Blocks of size k covering n qubits; the final block is smaller
         when k does not divide n."""
+        k, n_qubits = operator.index(k), operator.index(n_qubits)
         if not 1 <= k <= n_qubits:
             raise ValueError(f"block size k={k} must lie in [1, {n_qubits}]")
         sizes = [k] * (n_qubits // k)

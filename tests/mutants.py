@@ -81,6 +81,13 @@ MUTANTS = [
         ("test_paulis.py",),
     ),
     Mutant(
+        "BlockSpec truncates float sizes",
+        "paulis.py",
+        "sizes = tuple(map(operator.index, sizes))",
+        "sizes = tuple(map(int, sizes))",
+        ("test_paulis.py",),
+    ),
+    Mutant(
         "kernel: Y anticommutes with Y",
         "paulis.py",
         "anti = (x & mz) ^ (z & mx)",
@@ -93,6 +100,20 @@ MUTANTS = [
         "cols[low.bit_length() - 1] |= bit",
         "cols[low.bit_length()] |= bit",
         ("test_paulis.py",),
+    ),
+    Mutant(
+        "anticommutation table cuts at odd partners",
+        "grouping.py",
+        "even = hit & ~odd",
+        "even = odd",
+        ("test_grouping.py",),
+    ),
+    Mutant(
+        "anticommutation table: a Y qubit reads the z column",
+        "grouping.py",
+        "(ycol[q] if z & low else zcol[q])",
+        "(zcol[q] if z & low else zcol[q])",
+        ("test_grouping.py",),
     ),
     Mutant(
         "column fit keeps its accepted bit",
@@ -158,6 +179,13 @@ MUTANTS = [
         "analysis.py",
         "if not 0 <= d_gates < math.inf:",
         "if False:",
+        ("test_analysis.py",),
+    ),
+    Mutant(
+        "depth floor of an int gate count rounds down",
+        "analysis.py",
+        "return -(-d_gates // n)",
+        "return d_gates // n",
         ("test_analysis.py",),
     ),
     Mutant(
@@ -294,9 +322,9 @@ MUTANTS = [
         ("test_hamiltonians.py",),
     ),
     Mutant(
-        "main lets a broken pool's RuntimeError through",
+        "main catches only ValueError and OSError",
         "cli.py",
-        "except (ValueError, OSError, RuntimeError) as exc:",
+        "except Exception as exc:",
         "except (ValueError, OSError) as exc:",
         ("test_cli.py",),
     ),

@@ -12,6 +12,7 @@ import subprocess
 import sys
 
 import mpmath
+import numpy as np
 import pytest
 
 from pauliblocks import (
@@ -189,6 +190,20 @@ class TestSetCountingHelpers:
         assert count_independent_commuting_sets(2, 3) == 0
         assert count_independent_commuting_sets(3, 5) == 0
 
+    def test_counts_must_be_integers(self):
+        # count_independent_commuting_sets(2.5, 1) returned 31.0 before, and
+        # count_linearly_independent_sets(2.5, 1) failed an assert
+        for count in (count_linearly_independent_sets, count_independent_commuting_sets):
+            for args in [(2.5, 1), (3, 1.0)]:
+                with pytest.raises(TypeError):
+                    count(*args)
+            assert count(np.int64(3), np.int64(2)) == count(3, 2)
+        for args in [(4.0, 2), (4, 2.0)]:
+            with pytest.raises(TypeError):
+                diag_gate_lower_bound(*args)
+        with pytest.raises(TypeError):
+            max_set_size_check(2.0, BlockSpec([1, 1]))
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             count_linearly_independent_sets(3, 4)
@@ -296,6 +311,18 @@ class TestGateBound:
         assert min_circuit_depth(0, 4) == 0
         with pytest.raises(ValueError, match="n must be positive"):
             min_circuit_depth(9, 0)
+        with pytest.raises(TypeError):
+            min_circuit_depth(10, 2.5)  # returned 4 before
+        assert min_circuit_depth(10, np.int64(4)) == 3
+
+    def test_depth_floor_of_an_int_is_its_exact_ceiling(self):
+        # d / n overflows a float from about 2**1024 on
+        assert min_circuit_depth(10**400, 4) == 25 * 10**398
+        assert min_circuit_depth(10**400 + 1, 4) == 25 * 10**398 + 1
+        assert min_circuit_depth(2**60 + 1, 2) == 2**59 + 1  # d / n rounds to 2**59
+        for d in range(40):
+            for n in range(1, 9):
+                assert min_circuit_depth(d, n) == math.ceil(d / n) == min_circuit_depth(d + 0.0, n)
 
     @pytest.mark.parametrize("d_gates", [-5, -1e-9, math.nan, math.inf, -math.inf])
     def test_depth_floor_rejects_a_bad_gate_count(self, d_gates):
@@ -305,6 +332,15 @@ class TestGateBound:
 
 @pytest.mark.usefixtures("deadline")
 class TestSweep:
+    def test_block_sizes_and_jobs_must_be_integers(self):
+        h = tfim(4)
+        with pytest.raises(TypeError):
+            k_sweep(h, [1.9, 2.2])  # returned the rows of k = 1 and 2 before
+        with pytest.raises(TypeError):
+            k_sweep(h, [1, 2], jobs=1.0)
+        rows = k_sweep(h, np.arange(1, 5), jobs=np.int64(1))
+        assert rows == k_sweep(h, range(1, 5)) and all(type(r.k) is int for r in rows)
+
     def test_tfim_rows(self):
         h = tfim(8, 1.0, 1.0)
         rows = k_sweep(h, range(1, 9))
@@ -538,22 +574,15 @@ class TestSweep:
         h = hardcore_boson_1d(6)
         expected = k_sweep(h, range(1, 7), jobs=1)
         built = []  # one entry per table built
-        callers = set()  # the function that called `_anti`, each time
 
         def counting_table(*args):
             built.append(args)
             return real_table(*args)
 
-        def recording_anti(*args):
-            callers.add(sys._getframe(1).f_code.co_name)
-            return real_anti(*args)
-
-        real_table, real_anti = grouping_module._anti_table, grouping_module._anti
+        real_table = grouping_module._anti_table
         monkeypatch.setattr(grouping_module, "_anti_table", counting_table)
-        monkeypatch.setattr(grouping_module, "_anti", recording_anti)
         assert k_sweep(h, range(1, 7), jobs=1) == expected
         assert len(built) == 1
-        assert callers == {"_anti_table"}
 
     @pytest.mark.parametrize("method", ["spawn", "forkserver"])
     def test_pool_matches_serial_under_start_method(self, tmp_path, method):
@@ -871,6 +900,18 @@ class TestScaling:
     def test_hardcore_boson_is_flat(self):
         rows = k_star_scaling(lambda n: hardcore_boson_1d(n), [4, 8])
         assert all(r.k_star_rhat == 1 and r.k_star_groups == 1 for r in rows)
+
+    def test_sizes_seeds_and_jobs_must_be_integers(self):
+        # tfim at [4.7] reported n = 4, and seeds [1.9, 2.2] ran as 1 and 2
+        random_w2 = lambda n, seed: random_hamiltonian(n, 2.0, seed)  # noqa: E731
+        for kwargs in [dict(sizes=[4.7]), dict(sizes=[4], seeds=[1.9, 2.2]),
+                       dict(sizes=[4], jobs=1.5)]:
+            sizes = kwargs.pop("sizes")
+            with pytest.raises(TypeError):
+                k_star_scaling(random_w2 if "seeds" in kwargs else tfim, sizes, **kwargs)
+        rows = k_star_scaling(random_w2, np.array([4, 5]), seeds=np.arange(2), jobs=np.int64(1))
+        assert rows == k_star_scaling(random_w2, [4, 5], seeds=[0, 1])
+        assert all(type(r.n) is int for r in rows)
 
     def test_random_family_reports_spread(self):
         rows = k_star_scaling(

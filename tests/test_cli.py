@@ -479,6 +479,33 @@ class TestExtremeInputs:
         assert err == "error: offset must be finite, got inf\n"
 
 
+@pytest.mark.parametrize(
+    "exc, line",
+    [(TypeError("unsupported operand"), "error: unsupported operand"),
+     (OverflowError("int too large to convert to float"),
+      "error: int too large to convert to float"),
+     (KeyError(), "error: KeyError")],  # an empty message names the type
+    ids=["TypeError", "OverflowError", "KeyError"],
+)
+def test_any_library_error_is_one_error_line(monkeypatch, capsys, exc, line):
+    def fail(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "_cmd_bound", fail)
+    assert run_cli("bound", "--n", "4", "--r", "2") == 1
+    assert capsys.readouterr() == ("", line + "\n")
+
+
+def test_keyboard_interrupt_is_not_an_error_line(monkeypatch, capsys):
+    def interrupt(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "_cmd_bound", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        run_cli("bound", "--n", "4", "--r", "2")
+    assert capsys.readouterr() == ("", "")
+
+
 def test_memory_error_is_one_error_line(monkeypatch, capsys):
     def exhaust(path):
         raise MemoryError

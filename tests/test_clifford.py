@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from conftest import circuit_matrix, equal_up_to_sign, pauli_matrix
@@ -62,6 +63,19 @@ class TestGates:
     def test_rejects_negative_index(self, kind, qubits):
         with pytest.raises(ValueError, match="negative qubit index"):
             Gate(kind, qubits)
+
+    def test_indices_counts_and_seeds_must_be_integers(self):
+        for make in (
+            lambda: Gate("H", (1.5,)),
+            lambda: Gate.cnot(0, 1.0),
+            lambda: CliffordCircuit(2.0, ()),
+            lambda: random_circuit(3, 4, seed=1.5),
+        ):
+            with pytest.raises(TypeError):
+                make()
+        gate = Gate("CNOT", np.array([0, 1]))
+        assert gate == Gate.cnot(0, 1) and str(gate) == "CNOT 0 1"
+        assert CliffordCircuit(np.int64(2), (gate,)) == CliffordCircuit(2, (gate,))
 
     def test_circuit_rejects_out_of_range(self):
         with pytest.raises(ValueError):

@@ -362,6 +362,26 @@ COLUMN_FIT_CORPUS = {
 }
 
 
+def naive_anti_table(t, order):
+    """`_anti_table` from each pair of terms: (antis, cuts) in rank space."""
+    antis, cuts = [], set()
+    for i in order:
+        anti = {}  # qubit -> mask of the terms anticommuting with term i there
+        even = []  # the qubits split against an even partner
+        for s, j in enumerate(order):
+            on = (t.xs[i] & t.zs[j]) ^ (t.zs[i] & t.xs[j])
+            qs = [q for q in range(t.n_qubits) if on >> q & 1]
+            for q in qs:
+                anti[q] = anti.get(q, 0) | 1 << s
+            if qs and len(qs) % 2 == 0:
+                even += qs
+        support = t.xs[i] | t.zs[i]
+        antis.append([(q, anti.get(q, 0)) for q in range(t.n_qubits) if support >> q & 1])
+        split = sorted(set(even))
+        cuts.update(zip(split, split[1:]))
+    return antis, sorted(cuts)
+
+
 class TestColumnFit:
     @pytest.mark.parametrize("name", list(COLUMN_FIT_CORPUS))
     @pytest.mark.parametrize("algorithm, seed", [("sorted", None), ("random", 6)])
@@ -398,12 +418,14 @@ class TestColumnFit:
         ))
         t = grouping_module._terms(h)
         assert t.order == [1, 2, 0]
-        # rank 0 is YZI, rank 1 IXY, rank 2 XIZ
-        assert grouping_module._columns(t, t.order) == {
-            0: (0b101, 0b001, 0b100),
-            1: (0b010, 0b001, 0b011),
-            2: (0b010, 0b110, 0b100),
-        }
+        # rank 0 is YZI, rank 1 IXY, rank 2 XIZ; by qubit, the x columns are
+        # 0b101, 0b010, 0b010 and the z columns 0b001, 0b001, 0b110
+        antis, _ = grouping_module._anti_table(t, t.order)
+        assert antis == [
+            [(0, 0b100), (1, 0b010)],  # Y0 reads x ^ z, Z1 reads x
+            [(1, 0b001), (2, 0b100)],  # X1 reads z, Y2 reads x ^ z
+            [(0, 0b001), (2, 0b010)],  # X0 reads z, Z2 reads x
+        ]
 
     def test_anti_table_in_rank_space(self, deadline):
         # XXI and ZZI anticommute on qubits 0 and 1, an even pair; IZX
@@ -429,21 +451,35 @@ class TestColumnFit:
             assert grouping_module._first_fit(t, blocks, t.order).groups == groups
             assert grouping_module._column_fit(antis, t.order, blocks.home) == groups
 
-    def test_antis_hold_the_columns_own_ints(self, monkeypatch):
-        built = []  # the columns the table is read from
-
-        def recording_columns(*args):
-            built.append(real(*args))
-            return built[-1]
-
-        real = grouping_module._columns
-        monkeypatch.setattr(grouping_module, "_columns", recording_columns)
+    def test_antis_hold_the_columns_own_ints(self):
+        # every term with the same letter on a qubit reads the same column:
+        # one int, not a copy per term
         t = grouping_module._terms(COLUMN_FIT_CORPUS["sparse-40x2000"])
         antis, _ = grouping_module._anti_table(t, t.order)
-        [cols] = built
-        pairs = [pair for anti in antis for pair in anti]
-        assert len(pairs) > len(antis)
-        assert all(any(a is c for c in cols[q]) for q, a in pairs)
+        columns = {}  # (qubit, x bit, z bit) -> the masks read for it
+        for i, anti in zip(t.order, antis):
+            for q, a in anti:
+                columns.setdefault((q, t.xs[i] >> q & 1, t.zs[i] >> q & 1), []).append(a)
+        assert len(columns) <= 3 * 40
+        assert sum(map(len, columns.values())) > 10 * len(columns)
+        for masks in columns.values():
+            assert all(a is masks[0] for a in masks)
+
+    # every corpus entry but the 2,000-term one, whose pairs the reference
+    # would take seconds to walk, and seeded random widths and weights
+    @pytest.mark.parametrize("name", [*list(COLUMN_FIT_CORPUS)[:-1], "random-seeded"])
+    @pytest.mark.parametrize("algorithm, seed", [("sorted", None), ("random", 6)])
+    def test_anti_table_matches_pairwise_reference(self, name, algorithm, seed):
+        if name in COLUMN_FIT_CORPUS:
+            hs = [COLUMN_FIT_CORPUS[name]]
+        else:
+            rng = random.Random(20)
+            hs = [random_hamiltonian(rng.randint(2, 24), rng.uniform(1.0, 6.0), seed=s)
+                  for s in range(12)]
+        for h in hs:
+            t = grouping_module._terms(h)
+            order = grouping_module._order(t, algorithm, seed)
+            assert grouping_module._anti_table(t, order) == naive_anti_table(t, order)
 
     def test_sweeps_share_uniform_block_indices(self, monkeypatch):
         # a k* scan sweeps one width many times: each relation class gets one

@@ -8,6 +8,7 @@ import sys
 import time
 import warnings
 
+import numpy as np
 import pytest
 
 from conftest import folds_identity_if
@@ -52,6 +53,16 @@ class TestTypes:
     def test_hamiltonian_rejects_no_qubits(self):
         with pytest.raises(ValueError, match="n_qubits must be positive"):
             Hamiltonian(0, ())
+
+    def test_qubit_count_and_seed_must_be_integers(self):
+        with pytest.raises(TypeError):
+            Hamiltonian(2.5, ())
+        with pytest.raises(TypeError):
+            random_hamiltonian(4, 2.0, seed=1.5)
+        terms = (Term(1.0, parse_pauli("XY", 2)),)
+        h = Hamiltonian(np.int64(2), terms)
+        assert h == Hamiltonian(2, terms) and type(h.n_qubits) is int
+        assert random_hamiltonian(4, 2.0, seed=np.int64(3)) == random_hamiltonian(4, 2.0, seed=3)
 
     def test_hamiltonian_rejects_wrong_width(self):
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ import itertools
 import pickle
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +23,14 @@ from pauliblocks import (
 )
 from pauliblocks import paulis
 from pauliblocks.paulis import block_commutes_all, first_noncommuting_pair
+
+
+def test_qubit_count_must_be_an_integer():
+    # PauliString(3.0, 1, 0) was built before, and only its render() raised
+    with pytest.raises(TypeError):
+        PauliString(3.0, 1, 0)
+    p = PauliString(np.int64(3), 1, 0)
+    assert p == PauliString(3, 1, 0) and type(p.n_qubits) is int and p.render() == "XII"
 
 
 def all_paulis(n):
@@ -252,6 +261,22 @@ class TestBlockSpec:
         assert len(data) < 10_000
         back = pickle.loads(data)
         assert (back.spans, back.masks, back.home) == (spec.spans, spec.masks, spec.home)
+
+    # a float was truncated before: BlockSpec([2.7, 1.3]).sizes was (2, 1)
+    @pytest.mark.parametrize("sizes", [[2.7, 1.3], [2.0, 1], ["2", 1]])
+    def test_sizes_must_be_integers(self, sizes):
+        with pytest.raises(TypeError):
+            BlockSpec(sizes)
+
+    @pytest.mark.parametrize("k, n", [(2.0, 4), (2, 4.0)])
+    def test_uniform_needs_integers(self, k, n):
+        with pytest.raises(TypeError):
+            BlockSpec.uniform(k, n)
+
+    def test_numpy_integers_become_ints(self):
+        spec = BlockSpec(np.array([2, 1]))
+        assert spec == BlockSpec([2, 1]) and all(type(s) is int for s in spec.sizes)
+        assert BlockSpec.uniform(np.int64(2), np.int64(3)) == spec
 
     def test_home_is_each_qubits_block(self):
         assert BlockSpec((1, 3, 2)).home == (0, 1, 1, 1, 2, 2)
