@@ -21,9 +21,7 @@ import operator
 import random
 from typing import Iterable, Sequence
 
-from .paulis import (
-    BlockSpec, PauliString, _Frozen, _transpose, block_commutes_all, first_noncommuting_pair,
-)
+from .paulis import BlockSpec, PauliString, _Frozen, _transpose, first_noncommuting_pair
 
 __all__ = [
     "Gate",
@@ -200,53 +198,63 @@ class Tableau(_Frozen):
         return PauliString(self.n_qubits, x, z)
 
     def is_symplectic(self) -> bool:
-        """Check directly that the 2n x 2n binary action preserves the
-        symplectic form on all generator pairs."""
-        whole = (-1,)  # one block over every bit: plain commutation
-        xs, zs = self.x_images, self.z_images
-        for i in range(self.n_qubits):
-            if not (
-                block_commutes_all(*xs[i], xs[i + 1 :], whole)
-                and block_commutes_all(*zs[i], zs[i + 1 :], whole)
-                and block_commutes_all(*xs[i], zs[:i] + zs[i + 1 :], whole)
-                and not block_commutes_all(*xs[i], (zs[i],), whole)
-            ):
+        """Check that the 2n x 2n binary action preserves the symplectic form
+        in one F2 pass: with xs[q] and zs[q] masking the images that have an
+        x or z bit on qubit q, the images that image i anticommutes with are
+        the XOR of the z columns at its x qubits and the x columns at its z
+        qubits, and must be exactly its partner (X_j with Z_j)."""
+        n = self.n_qubits
+        images = self.x_images + self.z_images
+        xs, zs = [0] * n, [0] * n
+        _transpose(images, xs, zs)
+        for i, (x, z) in enumerate(images):
+            anti = 0
+            for cols, bits in ((zs, x), (xs, z)):
+                while bits:
+                    anti ^= cols[(bits & -bits).bit_length() - 1]
+                    bits &= bits - 1
+            if anti != 1 << (i + n) % (2 * n):  # image i + n or i - n
                 return False
         return True
 
 
-def _independent_rows(vectors: Iterable[tuple[int, int]], width: int) -> list[list[int]]:
-    """Reduce (x, z) vectors of at most `width` bits over F2 to an
-    independent generating subset."""
-    pivots: dict[int, int] = {}  # pivot bit -> combined 2*width-bit vector
+def _independent_rows(vectors: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """Reduce (x, z) vectors over F2 to an independent generating subset, each
+    pivoted on its leading bit (x bits above z bits), highest pivot first."""
+    x_pivots: dict[int, list[int]] = {}  # leading x bit -> [x, z]
+    z_pivots: dict[int, list[int]] = {}  # leading z bit of a vector with x == 0 -> [x, z]
     for x, z in vectors:
-        v = (x << width) | z
-        while v:
-            top = v.bit_length() - 1
+        while x or z:
+            pivots, top = (x_pivots, x.bit_length()) if x else (z_pivots, z.bit_length())
             if top in pivots:
-                v ^= pivots[top]
+                px, pz = pivots[top]
+                x, z = x ^ px, z ^ pz
             else:
-                pivots[top] = v
+                pivots[top] = [x, z]
                 break
-    mask = (1 << width) - 1
-    return [[v >> width, v & mask] for _, v in sorted(pivots.items(), reverse=True)]
+    return [pivots[top] for pivots in (x_pivots, z_pivots) for top in sorted(pivots, reverse=True)]
 
 
-def _diagonalize_block(rows: Sequence[Sequence[int]], qubits: range) -> list[tuple]:
-    """Emit (kind, qubits) gates over {CNOT, H, S} on `qubits` sending every
-    independent (x, z) row, supported on `qubits`, to Z-type.
+def _diagonalize_block(rows: Sequence[Sequence[int]]) -> list[tuple]:
+    """Emit (kind, qubits) gates over {CNOT, H, S} sending every independent
+    (x, z) row to Z-type, touching only the qubits that the rows act on.
 
-    The rows are held column-wise: xs[q] and zs[q] mask the rows with an x
-    or z bit on qubit q, so each gate costs O(1) big-int operations. Each
-    pass fixes one row to a single-qubit Z on a fresh pivot, which later
-    gates never touch, so the loop ends within len(rows) passes. Unless the
-    rows pairwise commute, the pivot-column test raises ValueError, and it
-    is complete. Take any anticommuting pair of rows. Gates, and the
-    Z-clearing products with a fixed row, keep every open pair's relation;
-    two rows never fixed end Z-type, so they commute. So the first of the
-    pair to be fixed as Z on its pivot finds the other still open, with an x
-    bit on that pivot. Any other failure breaks an invariant: RuntimeError.
+    The rows are held column-wise, in increasing order of the qubits they
+    act on: xs[q] and zs[q] mask the rows with an x or z bit on qubit q, so
+    each gate costs O(1) big-int operations. Each pass fixes one row to a
+    single-qubit Z on a fresh pivot, which later gates never touch, so the
+    loop ends within len(rows) passes. Unless the rows pairwise commute, the
+    pivot-column test raises ValueError, and it is complete. Take any
+    anticommuting pair of rows. Gates, and the Z-clearing products with a
+    fixed row, keep every open pair's relation; two rows never fixed end
+    Z-type, so they commute. So the first of the pair to be fixed as Z on
+    its pivot finds the other still open, with an x bit on that pivot. Any
+    other failure breaks an invariant: RuntimeError.
     """
+    qubits, bits = [], functools.reduce(operator.or_, itertools.chain(*rows), 0)
+    while bits:  # each set bit, lowest first
+        qubits.append((bits & -bits).bit_length() - 1)
+        bits &= bits - 1
     xs, zs = dict.fromkeys(qubits, 0), dict.fromkeys(qubits, 0)
     _transpose(rows, xs, zs)
     open_rows = (1 << len(rows)) - 1  # rows not yet fixed; bit i is row i
@@ -292,12 +300,9 @@ def _block_gate_lists(bits: Sequence[tuple[int, int]], blocks: BlockSpec) -> lis
     over an independent generating subset of the (x, z) rows' restrictions
     to it. By bilinearity the rows block-commute iff each block's subset
     commutes, which the elimination checks: ValueError if not."""
-    return [
-        # restrictions stay at their global positions, so the gates do too
-        _diagonalize_block(_independent_rows(((x & mask, z & mask) for x, z in bits), stop),
-                           range(start, stop))
-        for (start, stop), mask in zip(blocks.spans, blocks.masks)
-    ]
+    # restrictions stay at their global positions, so the gates do too
+    return [_diagonalize_block(_independent_rows((x & mask, z & mask) for x, z in bits))
+            for mask in blocks.masks]
 
 
 def diagonalize_group(members: Sequence[PauliString], blocks: BlockSpec) -> CliffordCircuit:

@@ -109,6 +109,9 @@ qubits: 16
 """
 
 
+WIDE_SPARSE = "qubits: 1000\n1.0 Z0\n0.5 X1 X2\n0.25 Z1 Z2\n"
+
+
 def _case(*argv, files=None, outs=(), then=(), pool_at_any_work=False):
     """One `main()` run, followed by the runs in `then` in the same directory;
     a case's fingerprint covers all of them together. With
@@ -327,6 +330,16 @@ CASES = {
     # an identity-only file loads to no terms at all
     "error_sweep_empty": _case(
         "sweep", "empty.txt", "--jobs", "1", files={"empty.txt": "qubits: 3\n1.0 III\n"}
+    ),
+    # three terms on the first three of 1,000 qubits: at every k the blocks
+    # past qubit 2 hold none of the terms' support, and a wide block's rows
+    # touch only two or three of its qubits
+    "wide_sparse": _case(
+        "diag", "w.txt", "--k", "1", files={"w.txt": WIDE_SPARSE},
+        then=[
+            ("diag", "w.txt", "--k", "1000"),
+            ("sweep", "w.txt", "--with-circuits", "--jobs", "1"),
+        ],
     ),
 }
 

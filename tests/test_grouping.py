@@ -33,7 +33,6 @@ from pauliblocks import (
     tfim,
 )
 from pauliblocks import analysis as analysis_module
-from pauliblocks import clifford as clifford_module
 from pauliblocks import grouping as grouping_module
 from pauliblocks import paulis as paulis_module
 
@@ -526,7 +525,7 @@ class TestColumnFit:
         def boom(*args):
             raise AssertionError("block_commutes_all called")
 
-        for module in (paulis_module, grouping_module, analysis_module, clifford_module):
+        for module in (paulis_module, grouping_module, analysis_module):
             monkeypatch.setattr(module, "block_commutes_all", boom)
         assert k_sweep(h, range(1, 11), jobs=1) == expected
         with pytest.raises(AssertionError, match="block_commutes_all called"):
