@@ -311,7 +311,7 @@ def enumerate_block_commuting(p: PauliString, blocks: BlockSpec) -> int:
         ca * cb
         for a, ca in a_counts.items()
         for b, cb in b_counts.items()
-        if block_commutes_all(a, b, ((p.x_bits, p.z_bits),), blocks.masks)
+        if block_commutes_all(a, b, ((p.x_bits, p.z_bits),), blocks.starts)
     )
 
 
@@ -329,7 +329,7 @@ def max_set_size_check(n: int, blocks: BlockSpec) -> int:
         raise ValueError(f"exhaustive check supports n <= 4, got {n}")
     blocks.require_n(n)
 
-    whole = (-1,)  # one block over every bit: plain commutation
+    whole = (0,)  # one block over every bit: plain commutation
     per_block: list[list[tuple[int, int]]] = []
     for start, stop in blocks.spans:
         width = stop - start
@@ -350,7 +350,7 @@ def max_set_size_check(n: int, blocks: BlockSpec) -> int:
     member_set = set(members)
 
     for i in range(len(members)):
-        if not block_commutes_all(*members[i], members[i + 1 :], blocks.masks):
+        if not block_commutes_all(*members[i], members[i + 1 :], blocks.starts):
             raise RuntimeError("product set is not pairwise block-commuting")
         for j in range(i + 1, len(members)):
             prod = (members[i][0] ^ members[j][0], members[i][1] ^ members[j][1])
@@ -360,7 +360,7 @@ def max_set_size_check(n: int, blocks: BlockSpec) -> int:
         for z in range(1 << n):
             if (x, z) in member_set:
                 continue
-            if block_commutes_all(x, z, members, blocks.masks):
+            if block_commutes_all(x, z, members, blocks.starts):
                 raise RuntimeError("found an outside string extending the set")
     return len(members)
 

@@ -45,7 +45,7 @@ def _blocks_from_args(args, n: int) -> BlockSpec:
     if args.k is not None:
         return BlockSpec.uniform(args.k, n)
     sizes = _parse_sizes(args.blocks)
-    if sum(sizes) != n:  # before BlockSpec builds a mask as wide as each prefix
+    if sum(sizes) != n:  # before BlockSpec builds a home entry per qubit
         raise ValueError(f"block sizes sum to {sum(sizes)}, expected {n}")
     return BlockSpec(sizes)
 

@@ -296,13 +296,18 @@ def _diagonalize_block(rows: Sequence[Sequence[int]]) -> list[tuple]:
 
 
 def _block_gate_lists(bits: Sequence[tuple[int, int]], blocks: BlockSpec) -> list[list[tuple]]:
-    """One (kind, qubits) list per block, by symplectic Gaussian elimination
-    over an independent generating subset of the (x, z) rows' restrictions
-    to it. By bilinearity the rows block-commute iff each block's subset
-    commutes, which the elimination checks: ValueError if not."""
-    # restrictions stay at their global positions, so the gates do too
-    return [_diagonalize_block(_independent_rows((x & mask, z & mask) for x, z in bits))
-            for mask in blocks.masks]
+    """One (kind, qubits) list per block the (x, z) rows act on, in order, by
+    symplectic Gaussian elimination over an independent generating subset of
+    their restrictions to it, at their global positions. By bilinearity the
+    rows block-commute iff each block's subset commutes: ValueError if not."""
+    touched = functools.reduce(operator.or_, (x | z for x, z in bits), 0)
+    lists = []
+    while touched:  # the block of the lowest touched qubit, then past it
+        b = blocks.home[(touched & -touched).bit_length() - 1]
+        mask = ((1 << blocks.sizes[b]) - 1) << blocks.starts[b]
+        lists.append(_diagonalize_block(_independent_rows((x & mask, z & mask) for x, z in bits)))
+        touched &= ~mask
+    return lists
 
 
 def diagonalize_group(members: Sequence[PauliString], blocks: BlockSpec) -> CliffordCircuit:

@@ -282,7 +282,7 @@ def check_grouping(h: Hamiltonian, grouping: Grouping) -> None:
 
 def _first_fit(t: _Terms, blocks: BlockSpec, order: Sequence[int]) -> Grouping:
     blocks.require_n(t.n_qubits)
-    masks = blocks.masks
+    starts = blocks.starts
     xs, zs = t.xs, t.zs
     groups: list[list[int]] = []
     # cached (x, z) of each group's members, one kernel call per group
@@ -290,7 +290,7 @@ def _first_fit(t: _Terms, blocks: BlockSpec, order: Sequence[int]) -> Grouping:
     for i in order:
         x, z = xs[i], zs[i]
         for group, bits in zip(groups, group_bits):
-            if block_commutes_all(x, z, bits, masks):
+            if block_commutes_all(x, z, bits, starts):
                 group.append(i)
                 bits.append((x, z))
                 break

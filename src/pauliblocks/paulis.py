@@ -85,6 +85,7 @@ class PauliString(_Frozen):
         n_qubits = operator.index(n_qubits)
         if n_qubits < 1:
             raise ValueError(f"n_qubits must be positive, got {n_qubits}")
+        x_bits, z_bits = operator.index(x_bits), operator.index(z_bits)
         # bit_length, not a comparison with 1 << n_qubits, so that a wide
         # string costs no n_qubits-bit integer; x | z < 0 iff x or z is
         if (bits := x_bits | z_bits) < 0 or bits.bit_length() > n_qubits:
@@ -131,13 +132,13 @@ class BlockSpec(_Frozen):
     """An ordered partition of n qubit positions into contiguous blocks.
 
     The block sizes (k_1, ..., k_m) must be positive and sum to the qubit
-    count of any string the partition is applied to. Each block's span and
-    bitmask, and each qubit's block index (`home`), are derived once at
-    construction; equality, hashing, repr and pickling use `sizes` alone.
+    count of any string the partition is applied to. Each block's first
+    qubit (`starts`) and each qubit's block index (`home`) are derived once
+    at construction; equality, hashing, repr and pickling use `sizes` alone.
     """
 
     _fields = ("sizes",)
-    __slots__ = (*_fields, "spans", "masks", "home")
+    __slots__ = (*_fields, "starts", "home")
 
     def __init__(self, sizes: tuple[int, ...]):
         sizes = tuple(map(operator.index, sizes))
@@ -145,19 +146,13 @@ class BlockSpec(_Frozen):
             raise ValueError("BlockSpec needs at least one block")
         if min(sizes) < 1:
             raise ValueError(f"block sizes must be positive, got {sizes}")
-        spans = []
-        masks = []
+        starts = []
         home: list[int] = []  # qubit -> block
-        start = 0
         for idx, s in enumerate(sizes):
-            stop = start + s
-            spans.append((start, stop))
-            masks.append(((1 << s) - 1) << start)
+            starts.append(len(home))
             home += [idx] * s
-            start = stop
         self._set("sizes", sizes)
-        self._set("spans", tuple(spans))
-        self._set("masks", tuple(masks))
+        self._set("starts", tuple(starts))
         self._set("home", tuple(home))
 
     @classmethod
@@ -174,7 +169,11 @@ class BlockSpec(_Frozen):
 
     @property
     def n_qubits(self) -> int:
-        return self.spans[-1][1]
+        return len(self.home)
+
+    @property
+    def spans(self) -> tuple[tuple[int, int], ...]:  # each block's [start, stop)
+        return tuple((a, a + s) for a, s in zip(self.starts, self.sizes))
 
     def require_n(self, n_qubits: int) -> None:
         if self.n_qubits != n_qubits:
@@ -263,19 +262,20 @@ def _transpose(rows: Iterable[Sequence[int]], xs, zs) -> None:
 
 
 def block_commutes_all(
-    x: int, z: int, members: Iterable[tuple[int, int]], masks: Sequence[int]
+    x: int, z: int, members: Iterable[tuple[int, int]], starts: Sequence[int]
 ) -> bool:
     """True iff the string with bitmaps (x, z) block-commutes with every
-    (mx, mz) in `members`, each block given by its qubit bitmask in `masks`.
-
-    The single mask -1 makes the whole string one block: plain commutation.
-    """
+    (mx, mz) in `members`, for blocks that begin at the increasing `starts`:
+    a block's anticommuting bits have the parity of the suffixes at its start
+    and at the next together, so all are even iff every suffix at a start
+    is. The single start 0 makes the whole string one block."""
     for mx, mz in members:
         anti = (x & mz) ^ (z & mx)
-        if anti:
-            for mask in masks:
-                if (anti & mask).bit_count() & 1:
-                    return False
+        for s in starts:
+            if not (suffix := anti >> s):  # so is every later one
+                break
+            if suffix.bit_count() & 1:
+                return False
     return True
 
 
@@ -287,7 +287,7 @@ def first_noncommuting_pair(
     bits = [(p.x_bits, p.z_bits) for p in paulis]
     for a, (x, z) in enumerate(bits):
         for b in range(a + 1, len(bits)):
-            if not block_commutes_all(x, z, (bits[b],), blocks.masks):
+            if not block_commutes_all(x, z, (bits[b],), blocks.starts):
                 return a, b
     return None
 
@@ -296,7 +296,7 @@ def commutes(p: PauliString, q: PauliString) -> bool:
     """True iff PQ = QP as operators (even symplectic inner product)."""
     if p.n_qubits != q.n_qubits:
         raise ValueError(f"qubit count mismatch: {p.n_qubits} vs {q.n_qubits}")
-    return block_commutes_all(p.x_bits, p.z_bits, [(q.x_bits, q.z_bits)], (-1,))
+    return block_commutes_all(p.x_bits, p.z_bits, [(q.x_bits, q.z_bits)], (0,))
 
 
 def restrict(p: PauliString, a: int, b: int) -> PauliString:
@@ -312,4 +312,4 @@ def k_commutes(p: PauliString, q: PauliString, blocks: BlockSpec) -> bool:
     if p.n_qubits != q.n_qubits:
         raise ValueError(f"qubit count mismatch: {p.n_qubits} vs {q.n_qubits}")
     blocks.require_n(p.n_qubits)
-    return block_commutes_all(p.x_bits, p.z_bits, [(q.x_bits, q.z_bits)], blocks.masks)
+    return block_commutes_all(p.x_bits, p.z_bits, [(q.x_bits, q.z_bits)], blocks.starts)

@@ -6,6 +6,7 @@ from __future__ import annotations
 import concurrent.futures
 import contextlib
 import signal
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -85,6 +86,24 @@ class _ReadOnce(list):
         if self.reads > len(self):
             raise AssertionError(f"column fit accepted more than {len(self)} terms")
         return super().__getitem__(r)
+
+
+def traced_peak(call, seconds: int):
+    """(call(), the peak bytes it allocated), traced by tracemalloc; a call
+    still running after `seconds` raises TimeoutError."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"the call did not finish within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture

@@ -95,6 +95,20 @@ MUTANTS = [
         ("test_paulis.py",),
     ),
     Mutant(
+        "kernel skips the first block start, so never the whole string's parity",
+        "paulis.py",
+        "for s in starts:",
+        "for s in starts[1:]:",
+        ("test_paulis.py",),
+    ),
+    Mutant(
+        "kernel stops at the first even suffix, not the first empty one",
+        "paulis.py",
+        "if not (suffix := anti >> s):",
+        "if not (suffix := anti >> s).bit_count() & 1:",
+        ("test_paulis.py",),
+    ),
+    Mutant(
         "transpose fills the column one qubit up",
         "paulis.py",
         "cols[low.bit_length() - 1] |= bit",
@@ -277,6 +291,13 @@ MUTANTS = [
         "clifford.py",
         "    while bits:  # each set bit, lowest first\n",
         "    bits &= bits - 1\n    while bits:  # each set bit, lowest first\n",
+        ("test_clifford.py",),
+    ),
+    Mutant(
+        "touched-block walk clears only the lowest qubit, so a block is synthesized again",
+        "clifford.py",
+        "touched &= ~mask",
+        "touched &= touched - 1",
         ("test_clifford.py",),
     ),
     Mutant(

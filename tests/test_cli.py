@@ -20,7 +20,7 @@ try:
 except ImportError:  # not on Windows
     resource = None
 
-from conftest import folds_identity_if
+from conftest import folds_identity_if, traced_peak
 from pauliblocks import (
     CliffordCircuit,
     PauliString,
@@ -464,6 +464,24 @@ class TestExtremeInputs:
         assert run_cli(*argv) == 0
 
     @pytest.mark.parametrize(
+        "args, check",
+        [(["group", "--k", "1"], lambda out: json.loads(out)["groups"] == [[0, 1], [2]]),
+         (["sweep", "--ks", "1..100", "--with-circuits", "--jobs", "1"],
+          lambda out: len(out.splitlines()) == 101)],
+        ids=["group-k1", "sweep-circuits"],
+    )
+    def test_memory_on_a_wide_register_follows_the_terms(self, tmp_path, capsys, args, check):
+        # with a mask per block, each peaked at about 660 MB on 100,000
+        # qubits: Θ(n²/k) bits, and 26 s for the sweep (2 cores, Python 3.11)
+        path = tmp_path / "w.txt"
+        path.write_text("qubits: 100000\n1.0 Z0\n0.5 X1 X2\n0.25 Z1 Z2\n")
+        code, peak = traced_peak(lambda: run_cli(args[0], str(path), *args[1:]), 15)
+        out, err = capsys.readouterr()
+        assert code == 0, err
+        assert check(out)
+        assert peak < 32 * 2**20, peak
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["gen", "hardcore-boson", "--n", "100", "--g", "1e307"],
@@ -518,9 +536,9 @@ def test_memory_error_is_one_error_line(monkeypatch, capsys):
 @pytest.mark.skipif(resource is None, reason="needs resource.setrlimit")
 @pytest.mark.parametrize("k", ["1", "99999999999"])
 def test_out_of_memory_is_one_error_line(tmp_path, k):
-    # BlockSpec asks for about 800 GB at --k 1 and 12.5 GB at --k n; the
-    # address-space limit makes either request fail at once, and this test
-    # must never run without it
+    # BlockSpec asks for about 800 GB at either k, a list of sizes or a home
+    # entry per qubit; the address-space limit makes the request fail at
+    # once, and this test must never run without it
     path = tmp_path / "h.txt"
     path.write_text("qubits: 99999999999\n1.0 X0\n")
     _assert_out_of_memory(["group", str(path), "--k", k])
@@ -538,8 +556,9 @@ def test_out_of_memory_is_one_error_line(tmp_path, k):
     ids=["k1", "kn", "blocks", "sparse-index"],
 )
 def test_widest_loadable_input_is_out_of_memory(tmp_path, text, args):
-    # a width of sys.maxsize loads; the first mask or list it needs cannot
-    # be allocated, under the address-space limit or without it
+    # a width of sys.maxsize loads; the first list or bitmap it needs, such
+    # as the home entry per qubit that BlockSpec builds, cannot be
+    # allocated, under the address-space limit or without it
     path = tmp_path / "h.txt"
     path.write_text(text)
     _assert_out_of_memory(["group", str(path), *args])

@@ -515,7 +515,8 @@ class TestIndependentRows:
 
 def reference_gates(members: list[PauliString], blocks: BlockSpec) -> tuple[Gate, ...]:
     gates: list[Gate] = []
-    for (start, stop), mask in zip(blocks.spans, blocks.masks):
+    for start, stop in blocks.spans:
+        mask = (1 << stop) - (1 << start)
         restrictions = ((p.x_bits & mask, p.z_bits & mask) for p in members)
         rows = clifford._independent_rows(restrictions)
         gates += row_wise_diagonalize_block(rows, range(start, stop))
@@ -605,10 +606,36 @@ class TestSynthesisMatchesRowWiseReference:
         for _ in range(6):
             members = sparse_block_commuting_set(rng, blocks, rng.randint(1, 6))
             support = functools.reduce(operator.or_, (p.x_bits | p.z_bits for p in members))
-            assert any(not support & mask for mask in blocks.masks)  # an empty block
+            # an empty block
+            assert any(not support & (1 << b) - (1 << a) for a, b in blocks.spans)
             circ = diagonalize_group(members, blocks)
             assert circ.gates == reference_gates(members, blocks)
             assert all(support >> q & 1 for g in circ.gates for q in g.qubits)
+
+    @pytest.mark.parametrize(
+        "blocks", [BlockSpec.uniform(4, 4000), BlockSpec((3, 1, 996, 2, 2998))],
+        ids=["uniform-4", "uneven"],
+    )
+    def test_each_touched_block_is_synthesized_once(self, monkeypatch, blocks):
+        calls = []
+        real = clifford._diagonalize_block
+
+        def spy(rows):
+            calls.append(rows)
+            return real(rows)
+
+        monkeypatch.setattr(clifford, "_diagonalize_block", spy)
+        rng = random.Random(len(blocks))
+        shared = 0  # the touched blocks holding two or more support qubits
+        for _ in range(6):
+            members = sparse_block_commuting_set(rng, blocks, rng.randint(2, 6))
+            support = functools.reduce(operator.or_, (p.x_bits | p.z_bits for p in members))
+            homes = [blocks.home[q] for q in range(blocks.n_qubits) if support >> q & 1]
+            shared += len(homes) - len(set(homes))
+            calls.clear()
+            assert diagonalize_group(members, blocks).gates == reference_gates(members, blocks)
+            assert len(calls) == len(set(homes))
+        assert shared
 
     def test_columns_hold_only_the_qubits_the_rows_act_on(self, monkeypatch):
         # the cost of a block follows its rows: a with-circuits sweep of three

@@ -341,6 +341,15 @@ CASES = {
             ("sweep", "w.txt", "--with-circuits", "--jobs", "1"),
         ],
     ),
+    # one block per qubit, then uneven blocks: two of them split the terms'
+    # support, and the blocks past it hold nothing
+    "wide_sparse_group_k1": _case("group", "w.txt", "--k", "1", files={"w.txt": WIDE_SPARSE}),
+    "wide_sparse_group_blocks": _case(
+        "group", "w.txt", "--blocks", "2,1,500,497", files={"w.txt": WIDE_SPARSE}
+    ),
+    "wide_sparse_diag_blocks": _case(
+        "diag", "w.txt", "--blocks", "1,2,3,500,494", files={"w.txt": WIDE_SPARSE}
+    ),
 }
 
 

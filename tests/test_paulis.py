@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import matrices_commute, pauli_matrix
+from conftest import matrices_commute, pauli_matrix, traced_peak
 from pauliblocks import (
     BlockSpec,
     PauliString,
@@ -31,6 +31,17 @@ def test_qubit_count_must_be_an_integer():
         PauliString(3.0, 1, 0)
     p = PauliString(np.int64(3), 1, 0)
     assert p == PauliString(3, 1, 0) and type(p.n_qubits) is int and p.render() == "XII"
+
+
+def test_bitmaps_must_be_integers():
+    # a numpy integer had no bit_length(), so the range check raised
+    # AttributeError on it
+    p = PauliString(80, np.int64(5), np.uint8(4))
+    assert p == PauliString(80, 5, 4) and type(p.x_bits) is type(p.z_bits) is int
+    assert p.render().startswith("XIY")
+    for bits in ((5.0, 0), (0, 4.0), ("5", 0)):
+        with pytest.raises(TypeError):
+            PauliString(80, *bits)
 
 
 def all_paulis(n):
@@ -234,17 +245,18 @@ class TestBlockSpec:
         with pytest.raises(ValueError):
             BlockSpec([1, 2]).require_n(4)
 
-    def test_masks_and_spans(self):
+    def test_starts_and_spans(self):
         spec = BlockSpec([1, 2])
         assert spec.spans == ((0, 1), (1, 3))
-        assert spec.masks == (0b001, 0b110)
+        assert spec.starts == (0, 1) and spec.n_qubits == 3
+        assert BlockSpec.__slots__ == ("sizes", "starts", "home")
 
     def test_immutable(self):
         spec = BlockSpec([1, 2])
-        for name in ("sizes", "spans", "masks", "home"):
+        for name in ("sizes", "spans", "starts", "home", "n_qubits"):
             with pytest.raises(AttributeError):
                 setattr(spec, name, ())
-        assert spec.sizes == (1, 2) and spec.masks == (0b001, 0b110)
+        assert spec.sizes == (1, 2) and spec.starts == (0, 1)
 
     def test_value_semantics(self):
         spec = BlockSpec(iter([1, 2]))
@@ -252,15 +264,21 @@ class TestBlockSpec:
         assert spec != BlockSpec((2, 1)) and spec != (1, 2)
         assert repr(spec) == "BlockSpec((1, 2))"
         back = pickle.loads(pickle.dumps(spec))
-        assert back == spec and back.spans == spec.spans and back.masks == spec.masks
+        assert back == spec and back.spans == spec.spans and back.starts == spec.starts
 
     def test_pickles_as_its_sizes(self):
-        # the masks of uniform(1, n) total about n^2 / 2 bits
+        # the starts and homes of uniform(1, n) are 2n ints, not pickled
         spec = BlockSpec.uniform(1, 2000)
         data = pickle.dumps(spec)
         assert len(data) < 10_000
         back = pickle.loads(data)
-        assert (back.spans, back.masks, back.home) == (spec.spans, spec.masks, spec.home)
+        assert (back.spans, back.starts, back.home) == (spec.spans, spec.starts, spec.home)
+
+    def test_memory_is_linear_in_the_qubits(self):
+        # a mask per block made uniform(1, 100_000) peak at 656 MB
+        spec, peak = traced_peak(lambda: BlockSpec.uniform(1, 100_000), 15)
+        assert peak < 32 * 2**20, peak
+        assert spec.n_qubits == 100_000
 
     # a float was truncated before: BlockSpec([2.7, 1.3]).sizes was (2, 1)
     @pytest.mark.parametrize("sizes", [[2.7, 1.3], [2.0, 1], ["2", 1]])
@@ -284,6 +302,26 @@ class TestBlockSpec:
         for n in range(1, 41):
             for k in range(1, n + 1):
                 assert BlockSpec.uniform(k, n).home == tuple(q // k for q in range(n)), (k, n)
+
+
+def assert_kernel_and_first_pair_match_letterwise_oracle(paulis, spec):
+    def letterwise(p, q):
+        a, b = p.render(), q.render()
+        return all(
+            sum(x != "I" != y != x for x, y in zip(a[s:e], b[s:e])) % 2 == 0
+            for s, e in spec
+        )
+
+    p, rest = paulis[0], paulis[1:]
+    assert block_commutes_all(
+        p.x_bits, p.z_bits, [(q.x_bits, q.z_bits) for q in rest], spec.starts
+    ) == all(letterwise(p, q) for q in rest)
+    bad = [
+        (a, b)
+        for a, b in itertools.combinations(range(len(paulis)), 2)
+        if not letterwise(paulis[a], paulis[b])
+    ]
+    assert first_noncommuting_pair(paulis, spec) == (bad[0] if bad else None)
 
 
 class TestKCommutes:
@@ -320,29 +358,28 @@ class TestKCommutes:
     @settings(deadline=None)
     @given(st.integers(1, 12), st.data())
     def test_kernel_and_first_pair_match_letterwise_oracle(self, n, data):
-        def letterwise(p, q, spec):
-            a, b = p.render(), q.render()
-            return all(
-                sum(x != "I" != y != x for x, y in zip(a[s:e], b[s:e])) % 2 == 0
-                for s, e in spec
-            )
-
         spec = BlockSpec.uniform(data.draw(st.integers(1, n)), n)
         bits = st.integers(0, (1 << n) - 1)
         paulis = [
             PauliString(n, data.draw(bits), data.draw(bits))
             for _ in range(data.draw(st.integers(1, 6)))
         ]
-        p, rest = paulis[0], paulis[1:]
-        assert block_commutes_all(
-            p.x_bits, p.z_bits, [(q.x_bits, q.z_bits) for q in rest], spec.masks
-        ) == all(letterwise(p, q, spec) for q in rest)
-        bad = [
-            (a, b)
-            for a, b in itertools.combinations(range(len(paulis)), 2)
-            if not letterwise(paulis[a], paulis[b], spec)
+        assert_kernel_and_first_pair_match_letterwise_oracle(paulis, spec)
+
+    @settings(deadline=None)
+    @given(st.integers(1, 300), st.data())
+    def test_sparse_strings_on_uneven_blocks_match_letterwise_oracle(self, n, data):
+        # a few qubits anywhere on up to 300, so the anticommuting bits often
+        # end blocks before the last start, where the kernel stops
+        cuts = data.draw(st.sets(st.integers(1, n - 1), max_size=8)) if n > 1 else set()
+        spec = BlockSpec(b - a for a, b in itertools.pairwise([0, *sorted(cuts), n]))
+        qubits = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=6, unique=True))
+        bits = st.sets(st.sampled_from(qubits)).map(lambda qs: sum(1 << q for q in qs))
+        paulis = [
+            PauliString(n, data.draw(bits), data.draw(bits))
+            for _ in range(data.draw(st.integers(1, 6)))
         ]
-        assert first_noncommuting_pair(paulis, spec) == (bad[0] if bad else None)
+        assert_kernel_and_first_pair_match_letterwise_oracle(paulis, spec)
 
     @settings(deadline=None)
     @given(st.integers(1, 64), st.data())
