@@ -132,10 +132,10 @@ def _circuit_cell(args) -> tuple[int, int]:
     from .clifford import _block_gate_lists, _depth  # loaded only by sweeps with circuits
 
     n_qubits, xs, zs, k, groups = args
-    blocks = BlockSpec.uniform(k, n_qubits)
+    starts = range(0, n_qubits, k)  # those of BlockSpec.uniform(k, n_qubits), in O(1)
     gates = depth = 0
     for group in groups:
-        for block_gates in _block_gate_lists([(xs[i], zs[i]) for i in group], blocks):
+        for block_gates in _block_gate_lists([(xs[i], zs[i]) for i in group], starts):
             gates = max(gates, len(block_gates))
             depth = max(depth, _depth(qubits for _, qubits in block_gates))
     return gates, depth
@@ -186,14 +186,19 @@ def find_k_star(rows: Sequence[SweepRow], rel_tol: float = 1e-9) -> KStarResult:
     """Smallest k where r_hat first reaches its sweep maximum (within
     rel_tol) and smallest k where the group count first reaches its
     minimum."""
-    if not rows:
+    return _k_star([(r.k, r.num_groups, r.r_hat) for r in rows], rel_tol)
+
+
+def _k_star(swept: Sequence[tuple[int, int, float]], rel_tol: float) -> KStarResult:
+    """`find_k_star` on (k, group count, r_hat) triples."""
+    if not swept:
         raise ValueError("empty sweep")
     if not 0 <= rel_tol < 1:  # also rejects NaN
         raise ValueError(f"rel_tol must be in [0, 1), got {rel_tol}")
-    best_r = max(r.r_hat for r in rows)
-    fewest = min(r.num_groups for r in rows)
-    k_rhat = min(r.k for r in rows if r.r_hat >= (1.0 - rel_tol) * best_r)
-    k_groups = min(r.k for r in rows if r.num_groups == fewest)
+    best_r = max(r for _, _, r in swept)
+    fewest = min(g for _, g, _ in swept)
+    k_rhat = min(k for k, _, r in swept if r >= (1.0 - rel_tol) * best_r)
+    k_groups = min(k for k, g, _ in swept if g == fewest)
     return KStarResult(k_rhat, k_groups)
 
 
@@ -202,8 +207,13 @@ def _instance(factory: Callable, n: int, seed: int | None) -> Hamiltonian:
 
 
 def _scaling_cell(args) -> KStarResult:
+    """k* of one instance over k = 1..n, from `_sweep_groups` itself: no row per k."""
     factory, n, seed, rel_tol = args
-    return find_k_star(k_sweep(_instance(factory, n, seed), range(1, n + 1)), rel_tol)
+    t = _terms(_instance(factory, n, seed))
+    if n > t.n_qubits:  # as k_sweep refuses it
+        raise ValueError(f"block size {t.n_qubits + 1} out of range [1, {t.n_qubits}]")
+    swept = _sweep_groups(t, _order(t, "sorted", None), range(1, n + 1))
+    return _k_star([(k, len(groups), r) for k, groups, r in swept], rel_tol)
 
 
 def _scaling_steps(h: Hamiltonian) -> int:

@@ -22,7 +22,7 @@ from .hamiltonians import (
     random_hamiltonian,
     tfim,
 )
-from .paulis import BlockSpec
+from .paulis import BlockSpec, PauliString
 
 FAMILIES = ("bacon-shor", "tfim", "hardcore-boson", "random")
 
@@ -201,8 +201,8 @@ def _cmd_diag(args) -> int:
             f"group index {args.group_index} out of range; "
             f"grouping has {grouping.num_groups} groups"
         )
-    paulis = h.paulis()
-    members = [paulis[i] for i in grouping.groups[args.group_index]]
+    _, xs, zs = h._columns  # strings for the group's members only
+    members = [PauliString(h.n_qubits, xs[i], zs[i]) for i in grouping.groups[args.group_index]]
     circuit = diagonalize_group(members, blocks)
 
     # refuse to emit anything that fails verification

@@ -15,6 +15,7 @@ gate that crosses a block boundary.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import operator
@@ -295,16 +296,20 @@ def _diagonalize_block(rows: Sequence[Sequence[int]]) -> list[tuple]:
     return gates
 
 
-def _block_gate_lists(bits: Sequence[tuple[int, int]], blocks: BlockSpec) -> list[list[tuple]]:
-    """One (kind, qubits) list per block the (x, z) rows act on, in order, by
-    symplectic Gaussian elimination over an independent generating subset of
-    their restrictions to it, at their global positions. By bilinearity the
-    rows block-commute iff each block's subset commutes: ValueError if not."""
+def _block_gate_lists(
+    bits: Sequence[tuple[int, int]], starts: Sequence[int]
+) -> list[list[tuple]]:
+    """One (kind, qubits) list per block that the (x, z) rows act on, blocks
+    beginning at the increasing `starts`, in order, by symplectic Gaussian
+    elimination over an independent generating subset of their restrictions
+    to it, at their global positions. By bilinearity the rows block-commute
+    iff each block's subset commutes: ValueError if not."""
     touched = functools.reduce(operator.or_, (x | z for x, z in bits), 0)
     lists = []
     while touched:  # the block of the lowest touched qubit, then past it
-        b = blocks.home[(touched & -touched).bit_length() - 1]
-        mask = ((1 << blocks.sizes[b]) - 1) << blocks.starts[b]
+        b = bisect.bisect_right(starts, (touched & -touched).bit_length() - 1)
+        stop = -1 << starts[b] if b < len(starts) else 0  # the last block runs to the top
+        mask = (-1 << starts[b - 1]) ^ stop
         lists.append(_diagonalize_block(_independent_rows((x & mask, z & mask) for x, z in bits)))
         touched &= ~mask
     return lists
@@ -326,7 +331,7 @@ def diagonalize_group(members: Sequence[PauliString], blocks: BlockSpec) -> Clif
     if any(p.n_qubits != n for p in members):
         raise ValueError("members act on different qubit counts")
     try:
-        gates = _block_gate_lists([(p.x_bits, p.z_bits) for p in members], blocks)
+        gates = _block_gate_lists([(p.x_bits, p.z_bits) for p in members], blocks.starts)
     except ValueError:
         a, b = first_noncommuting_pair(members, blocks)
         raise ValueError(f"members {a} and {b} do not block-commute under {blocks}") from None

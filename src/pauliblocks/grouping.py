@@ -76,15 +76,15 @@ class _Terms(NamedTuple):
     a sweep builds it once and shares it across k."""
 
     n_qubits: int
-    xs: list[int]  # x bitmap of each term
-    zs: list[int]  # z bitmap of each term
+    xs: Sequence[int]  # x bitmap of each term
+    zs: Sequence[int]  # z bitmap of each term
     order: list[int]  # sorted insertion: decreasing |c|, ties by index
     scaled: list[float]  # coefficients times a power of two
     numerator: float  # sum of |scaled|, left to right
 
 
 def _terms(h: Hamiltonian) -> _Terms:
-    coeffs = h.coefficients()
+    coeffs, xs, zs = h._columns
     # The score is invariant under a common scale. Scaling by the power of
     # two that brings max|c| into [0.5, 1) is exact, so ordinary inputs score
     # bit for bit as before, and no sum overflows nor largest square underflows.
@@ -95,9 +95,7 @@ def _terms(h: Hamiltonian) -> _Terms:
     numerator = 0.0
     for c in scaled:
         numerator += abs(c)
-    xs = [t.pauli.x_bits for t in h.terms]
-    zs = [t.pauli.z_bits for t in h.terms]
-    order = sorted(range(h.num_terms), key=lambda i: -abs(coeffs[i]))
+    order = sorted(range(len(xs)), key=lambda i: -abs(coeffs[i]))
     return _Terms(h.n_qubits, xs, zs, order, scaled, numerator)
 
 

@@ -15,7 +15,7 @@ import random
 import sys
 import warnings
 
-from .paulis import PauliString, _Frozen, _pauli_bits, pauli_notation
+from .paulis import PauliString, _Frozen, _pauli_bits
 
 __all__ = [
     "Term",
@@ -50,41 +50,76 @@ class Hamiltonian(_Frozen):
 
     Invariants enforced at construction: the offset is finite, every term
     acts on n_qubits qubits, no two terms share a Pauli string, and no term
-    is the identity (identity contributions belong in `offset`).
+    is the identity (identity contributions belong in `offset`). The terms
+    are held as three columns, `_columns`: coefficients, x bitmaps and z
+    bitmaps, which the library reads; `terms` is built when first read.
     """
 
-    __slots__ = _fields = ("n_qubits", "terms", "offset")
+    _fields = ("n_qubits", "terms", "offset")
+    __slots__ = ("n_qubits", "offset", "_columns", "_terms")
 
     def __init__(self, n_qubits: int, terms: tuple[Term, ...], offset: float = 0.0):
+        terms = tuple(terms)
+        ps = [t.pauli for t in terms]
+        columns = [t.coefficient for t in terms], [p.x_bits for p in ps], [p.z_bits for p in ps]
+        self._fill(n_qubits, *columns, offset, terms, [p.n_qubits for p in ps])
+
+    @classmethod
+    def _from_columns(cls, n_qubits: int, coefficients, xs, zs, offset=0.0) -> Hamiltonian:
+        h = cls.__new__(cls)
+        h._fill(n_qubits, coefficients, xs, zs, offset)
+        return h
+
+    def _fill(self, n_qubits, coefficients, xs, zs, offset, terms=None, widths=()) -> None:
+        """Check the columns by one pass of map and set calls, the coefficients
+        first, as building the terms would; a loop runs only on a failure, to
+        name the first offender. `widths` holds each given term's qubit count."""
         n_qubits = operator.index(n_qubits)
         if n_qubits < 1:
             raise ValueError("n_qubits must be positive")
+        if not all(map(math.isfinite, coefficients)) or 0.0 in coefficients:
+            for c, x, z in zip(coefficients, xs, zs):
+                Term(c, PauliString(n_qubits, x, z))  # the first to fail raises
         if not math.isfinite(offset):
             raise ValueError(f"offset must be finite, got {offset}")
+        supports = list(map(operator.or_, xs, zs))  # below 1 for an identity or a negative
+        if supports and (
+            min(supports) < 1 or max(supports).bit_length() > n_qubits
+            or len(set(zip(xs, zs))) < len(xs)
+            or widths.count(n_qubits) < len(widths)
+        ):
+            seen = set()  # (x_bits, z_bits) of each term so far
+            for w, x, z in zip(widths or [n_qubits] * len(xs), xs, zs):
+                if w != n_qubits:
+                    message = f"term {_name(w, x, z)} acts on {w} qubits, expected {n_qubits}"
+                    raise ValueError(message)
+                PauliString(n_qubits, x, z)  # its range check
+                if not x | z:
+                    raise ValueError("identity terms must be carried in the offset")
+                if (x, z) in seen:
+                    raise ValueError(f"duplicate term {_name(n_qubits, x, z)}")
+                seen.add((x, z))
         self._set("n_qubits", n_qubits)
-        self._set("terms", tuple(terms))
         self._set("offset", offset)
-        seen = set()  # (x_bits, z_bits) of each term so far
-        for p in (t.pauli for t in self.terms):
-            bits = p.x_bits, p.z_bits
-            if p.n_qubits != n_qubits:
-                name = _name(p.n_qubits, *bits)
-                raise ValueError(f"term {name} acts on {p.n_qubits} qubits, expected {n_qubits}")
-            if p.is_identity:
-                raise ValueError("identity terms must be carried in the offset")
-            if bits in seen:
-                raise ValueError(f"duplicate term {_name(n_qubits, *bits)}")
-            seen.add(bits)
+        self._set("_columns", (tuple(coefficients), tuple(xs), tuple(zs)))
+        self._set("_terms", terms)
+
+    @property
+    def terms(self) -> tuple[Term, ...]:
+        if self._terms is None:
+            n, columns = self.n_qubits, zip(*self._columns)
+            self._set("_terms", tuple(Term(c, PauliString(n, x, z)) for c, x, z in columns))
+        return self._terms
 
     @property
     def num_terms(self) -> int:
-        return len(self.terms)
+        return len(self._columns[0])
 
     def coefficients(self) -> list[float]:
-        return [t.coefficient for t in self.terms]
+        return list(self._columns[0])
 
     def paulis(self) -> list[PauliString]:
-        return [t.pauli for t in self.terms]
+        return [PauliString(self.n_qubits, x, z) for _, x, z in zip(*self._columns)]
 
 
 class HamiltonianFileError(ValueError):
@@ -107,46 +142,6 @@ def _name(n: int, x: int, z: int) -> str:
         tokens.append(f"{'IXZY'[bool(x & low) + 2 * bool(z & low)]}{low.bit_length() - 1}")
         support ^= low
     return " ".join(tokens) or "identity"
-
-
-def _merge_terms(path, n_qubits: int, raw: list[tuple[int, float, tuple]]) -> Hamiltonian:
-    """Merge duplicate strings, fold identities into the offset, drop zeros.
-
-    `raw` holds (line number, coefficient, (x_bits, z_bits)) in file order;
-    strings are told apart by their bits alone.
-
-    Raises:
-        HamiltonianFileError: a merge or the offset overflows; the message
-            names the line.
-    """
-    offset = 0.0
-    acc: dict[tuple[int, int], float] = {}
-    for ln, coeff, bits in raw:
-        if coeff == 0.0:
-            warnings.warn(f"dropping zero-coefficient term {_name(n_qubits, *bits)}")
-            continue
-        if bits == (0, 0):
-            warnings.warn("folding identity term into the constant offset")
-            offset += coeff
-            if not math.isfinite(offset):
-                message = "folding identity term into the offset gives a non-finite offset"
-                raise _line_error(path, ln, f"{message} {offset}")
-            continue
-        total = acc.get(bits, 0.0) + coeff  # coeff itself on a first sight
-        if bits in acc:
-            name = _name(n_qubits, *bits)
-            if not math.isfinite(total):
-                message = f"merging duplicate term {name} gives a non-finite coefficient {total}"
-                raise _line_error(path, ln, message)
-            warnings.warn(f"merging duplicate term {name}")
-        acc[bits] = total
-    terms = []
-    for bits, coeff in acc.items():
-        if coeff == 0.0:
-            warnings.warn(f"term {_name(n_qubits, *bits)} merged to zero and dropped")
-            continue
-        terms.append(Term(coeff, PauliString(n_qubits, *bits)))
-    return Hamiltonian(n_qubits, tuple(terms), offset)
 
 
 def bacon_shor(
@@ -176,9 +171,9 @@ def bacon_shor(
             bit = 1 << (c * rows + r if ordering == "column_major" else r * cols + c)
             column[c] |= bit
             row[r] |= bit
-    terms = [Term(1.0, PauliString(n, column[c] | column[c + 1], 0)) for c in range(cols - 1)]
-    terms += [Term(1.0, PauliString(n, 0, row[r] | row[r + 1])) for r in range(rows - 1)]
-    return Hamiltonian(n, tuple(terms))
+    xs = [column[c] | column[c + 1] for c in range(cols - 1)] + [0] * (rows - 1)
+    zs = [0] * (cols - 1) + [row[r] | row[r + 1] for r in range(rows - 1)]
+    return Hamiltonian._from_columns(n, [1.0] * len(xs), xs, zs)
 
 
 def _require_chain(n: int) -> None:
@@ -192,16 +187,12 @@ def tfim(n: int, j: float = 1.0, g: float = 1.0) -> Hamiltonian:
     """Open-boundary transverse-field Ising chain:
     j * sum ZZ on adjacent pairs + g * sum X on every site."""
     _require_chain(n)
-    raw: list[tuple[float, PauliString]] = []
-    if j != 0.0:
-        for i in range(n - 1):
-            raw.append((j, PauliString(n, 0, (1 << i) | (1 << (i + 1)))))
-    if g != 0.0:
-        for i in range(n):
-            raw.append((g, PauliString(n, 1 << i, 0)))
-    if not raw:
+    # (coefficient, x_bits, z_bits) of each term; 3 << i acts on qubits i and i + 1
+    terms = [(j, 0, 3 << i) for i in range(n - 1)] if j != 0.0 else []
+    terms += [(g, 1 << i, 0) for i in range(n)] if g != 0.0 else []
+    if not terms:
         raise ValueError("both couplings are zero; Hamiltonian would be empty")
-    return Hamiltonian(n, tuple(Term(c, p) for c, p in raw))
+    return Hamiltonian._from_columns(n, *zip(*terms))
 
 
 def hardcore_boson_1d(n: int, t: float = 2.0, g: float = 1.0) -> Hamiltonian:
@@ -213,22 +204,14 @@ def hardcore_boson_1d(n: int, t: float = 2.0, g: float = 1.0) -> Hamiltonian:
     as identity terms.
     """
     _require_chain(n)
-    raw: list[tuple[float, PauliString]] = []
-    if t != 0.0:
-        for i in range(n - 1):
-            pair = (1 << i) | (1 << (i + 1))
-            raw.append((t / 2.0, PauliString(n, pair, 0)))
-        for i in range(n - 1):
-            pair = (1 << i) | (1 << (i + 1))
-            raw.append((t / 2.0, PauliString(n, pair, pair)))
-    offset = 0.0
-    if g != 0.0:
-        for i in range(n):
-            raw.append((-2.0 * g, PauliString(n, 0, 1 << i)))
-        offset = 2.0 * g * n
-    if not raw:
+    hops = range(n - 1) if t != 0.0 else ()  # 3 << i acts on qubits i and i + 1
+    sites = range(n) if g != 0.0 else ()
+    # (coefficient, x_bits, z_bits) of each term: the XXs, the YYs, then the Zs
+    terms = [(t / 2.0, 3 << i, 0) for i in hops] + [(t / 2.0, 3 << i, 3 << i) for i in hops]
+    terms += [(-2.0 * g, 0, 1 << i) for i in sites]
+    if not terms:
         raise ValueError("both couplings are zero; Hamiltonian would be empty")
-    return Hamiltonian(n, tuple(Term(c, p) for c, p in raw), offset)
+    return Hamiltonian._from_columns(n, *zip(*terms), 2.0 * g * n if sites else 0.0)
 
 
 def random_hamiltonian(n: int, w: float, seed: int) -> Hamiltonian:
@@ -260,7 +243,7 @@ def random_hamiltonian(n: int, w: float, seed: int) -> Hamiltonian:
             if letter != "X":
                 z |= 1 << q
         drawn[x, z] = None
-    return Hamiltonian(n, tuple(Term(1.0, PauliString(n, x, z)) for x, z in drawn))
+    return Hamiltonian._from_columns(n, [1.0] * n, *zip(*drawn))
 
 
 def load_hamiltonian(path) -> Hamiltonian:
@@ -274,7 +257,9 @@ def load_hamiltonian(path) -> Hamiltonian:
     index + 1, and every dense line must then have exactly that length.
     Errors come in this order, each kind by line number: header and
     coefficient, Pauli syntax, width (a header-less file's past sys.maxsize
-    first) and duplicate sparse index, then merge and offset overflow.
+    first) and duplicate sparse index, then merge and offset overflow. Each
+    line is parsed once and merged as it is read; an error of a later kind,
+    and every warning, waits until no earlier kind can come.
 
     Raises:
         HamiltonianFileError: malformed or inconsistent line, a width or
@@ -283,66 +268,98 @@ def load_hamiltonian(path) -> Hamiltonian:
             identity lines whose offset overflows (message includes the
             1-based line number), or empty file.
     """
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        lines = fh.readlines()
-
-    entries: list[tuple[int, float, str]] = []
     declared_n: int | None = None
-    for ln, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if stripped.lower().startswith("qubits:"):
-            if entries or declared_n is not None:
-                raise _line_error(path, ln, "'qubits:' header must be the first non-comment line")
+    first = widest = 0  # the first term's line; the widest string, for a header-less file
+    syntax = wide = width = None  # (line, message) of the first error of each deferred kind
+    dense: dict[int, tuple[int, str]] = {}  # header-less: width -> its first dense (line, text)
+    acc: dict[tuple[int, int], float] = {}  # (x_bits, z_bits) -> merged coefficient
+    notes = []  # (line, bits or None for an identity, merged total or offset or None for a zero)
+    memo: dict = {}  # each sparse token's reading, for _pauli_bits
+    offset = 0.0
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        for ln, line in enumerate(fh, start=1):
+            stripped = line.strip()
+            if not stripped or stripped[0] == "#":
+                continue
+            if stripped.lower().startswith("qubits:"):
+                if first or declared_n is not None:
+                    message = "'qubits:' header must be the first non-comment line"
+                    raise _line_error(path, ln, message)
+                try:
+                    declared_n = int(stripped.split(":", 1)[1])
+                except ValueError:
+                    message = f"cannot parse qubit count from {stripped!r}"
+                    raise _line_error(path, ln, message) from None
+                if declared_n < 1:
+                    raise _line_error(path, ln, "qubit count must be positive")
+                if declared_n > sys.maxsize:
+                    raise _line_error(path, ln, f"qubit count {declared_n} exceeds sys.maxsize")
+                continue
+            fields = stripped.split(None, 1)
+            if len(fields) != 2:
+                raise _line_error(path, ln, f"expected '<coefficient> <pauli>', got {stripped!r}")
             try:
-                declared_n = int(stripped.split(":", 1)[1])
+                coeff = float(fields[0])
             except ValueError:
-                message = f"cannot parse qubit count from {stripped!r}"
-                raise _line_error(path, ln, message) from None
-            if declared_n < 1:
-                raise _line_error(path, ln, "qubit count must be positive")
-            if declared_n > sys.maxsize:
-                raise _line_error(path, ln, f"qubit count {declared_n} exceeds sys.maxsize")
-            continue
-        fields = stripped.split(None, 1)
-        if len(fields) != 2:
-            raise _line_error(path, ln, f"expected '<coefficient> <pauli>', got {stripped!r}")
-        try:
-            coeff = float(fields[0])
-        except ValueError:
-            raise _line_error(path, ln, f"invalid coefficient {fields[0]!r}") from None
-        if not math.isfinite(coeff):
-            raise _line_error(path, ln, f"coefficient must be finite, got {fields[0]!r}")
-        entries.append((ln, coeff, fields[1]))
+                raise _line_error(path, ln, f"invalid coefficient {fields[0]!r}") from None
+            if not math.isfinite(coeff):
+                raise _line_error(path, ln, f"coefficient must be finite, got {fields[0]!r}")
+            first = first or ln
+            if syntax:  # only coefficient errors come before it
+                continue
+            try:
+                x, z, w, is_dense, problem = _pauli_bits(fields[1], declared_n, memo)
+            except ValueError as exc:
+                syntax = ln, str(exc)
+                continue
+            if declared_n is None:
+                if w > sys.maxsize:
+                    wide = wide or (ln, f"qubit index {w - 1} needs more than sys.maxsize qubits")
+                    continue
+                widest = max(widest, w)
+                if is_dense:
+                    dense.setdefault(w, (ln, fields[1]))
+            bits = x, z
+            if problem:
+                width = width or (ln, problem)
+            elif coeff == 0.0:
+                notes.append((ln, bits, None))
+            elif not x | z:
+                offset += coeff
+                notes.append((ln, None, offset))
+            elif bits in acc:
+                acc[bits] += coeff
+                notes.append((ln, bits, acc[bits]))
+            else:
+                acc[bits] = coeff
 
-    if not entries:
+    if not first:
         raise HamiltonianFileError(f"{path}: no terms found")
-
-    notations = []
-    for ln, _, text in entries:
-        try:
-            notations.append(pauli_notation(text))
-        except ValueError as exc:
-            raise _line_error(path, ln, str(exc)) from None
-
-    n = declared_n
-    if n is None:
-        n = 0
-        for (ln, _, _), p in zip(entries, notations):
-            width = len(p) if isinstance(p, str) else 1 + max(i for _, i in p)
-            if width > sys.maxsize:
-                message = f"qubit index {width - 1} needs more than sys.maxsize qubits"
-                raise _line_error(path, ln, message)
-            n = max(n, width)
-
-    raw = []
-    for (ln, coeff, text), notation in zip(entries, notations):
-        try:
-            raw.append((ln, coeff, _pauli_bits(notation, n, text)))
-        except ValueError as exc:
-            raise _line_error(path, ln, str(exc)) from None
-    return _merge_terms(path, n, raw)
+    n = declared_n or widest
+    for w, (ln, text) in dense.items():  # a header-less file's dense lines, by width
+        if w != n and (width is None or ln < width[0]):
+            width = ln, _pauli_bits(text, n, {})[-1]
+    for error in (syntax, wide, width):
+        if error:
+            raise _line_error(path, *error)
+    for ln, bits, value in notes:  # what the merge met, in line order
+        if bits is None:
+            warnings.warn("folding identity term into the constant offset")
+            if not math.isfinite(value):
+                message = "folding identity term into the offset gives a non-finite offset"
+                raise _line_error(path, ln, f"{message} {value}")
+        elif value is None:
+            warnings.warn(f"dropping zero-coefficient term {_name(n, *bits)}")
+        elif not math.isfinite(value):
+            message = f"merging duplicate term {_name(n, *bits)} gives a non-finite coefficient"
+            raise _line_error(path, ln, f"{message} {value}")
+        else:
+            warnings.warn(f"merging duplicate term {_name(n, *bits)}")
+    for bits in [bits for bits, c in acc.items() if c == 0.0]:
+        warnings.warn(f"term {_name(n, *bits)} merged to zero and dropped")
+        del acc[bits]
+    xs, zs = [x for x, _ in acc], [z for _, z in acc]
+    return Hamiltonian._from_columns(n, list(acc.values()), xs, zs, offset)
 
 
 def hamiltonian_to_text(h: Hamiltonian) -> str:
@@ -350,8 +367,9 @@ def hamiltonian_to_text(h: Hamiltonian) -> str:
 
     The scalar offset is not part of the file format and is not persisted.
     """
-    lines = [f"qubits: {h.n_qubits}"]
-    lines.extend(f"{t.coefficient!r} {t.pauli.render()}" for t in h.terms)
+    n = h.n_qubits
+    lines = [f"qubits: {n}"]
+    lines.extend(f"{c!r} {PauliString(n, x, z).render()}" for c, x, z in zip(*h._columns))
     return "\n".join(lines) + "\n"
 
 

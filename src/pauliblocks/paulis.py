@@ -16,7 +16,7 @@ the same test to each block of an ordered qubit partition, and
 from __future__ import annotations
 
 import operator
-import re
+import sys
 from typing import Iterable, Iterator, Sequence
 
 __all__ = [
@@ -28,13 +28,9 @@ __all__ = [
     "k_commutes",
     "block_commutes_all",
     "first_noncommuting_pair",
-    "pauli_notation",
 ]
 
-# Whole-text forms: `\s` and str.split() agree on what is whitespace, so a
-# match means every whitespace-separated token has the named form.
-_DENSE_TEXT = re.compile(r"[IXYZ\s]+")
-_SPARSE_TEXT = re.compile(r"\s*[XYZ]\d+(?:\s+[XYZ]\d+)*\s*")
+_DENSE_LETTERS = frozenset("IXYZ")  # dense text is these and whitespace
 # Dense text to binary digits, qubit 0 first: X or Y sets x, Z or Y sets z.
 _X_DIGITS = str.maketrans("IXYZ", "0110")
 _Z_DIGITS = str.maketrans("IXYZ", "0011")
@@ -191,25 +187,6 @@ class BlockSpec(_Frozen):
         return f"BlockSpec({self.sizes})"
 
 
-def pauli_notation(text: str) -> str | list[tuple[str, int]]:
-    """Split Pauli text into its dense string ("XIZY") or its sparse
-    (letter, qubit index) pairs, without checking it against a width.
-
-    Raises:
-        ValueError: empty text, or text that is neither dense nor sparse.
-    """
-    tokens = text.split()
-    if not tokens:
-        raise ValueError("empty Pauli specification")
-    if _DENSE_TEXT.fullmatch(text):
-        return "".join(tokens)
-    if _SPARSE_TEXT.fullmatch(text):
-        return [(t[0], int(t[1:])) for t in tokens]
-    raise ValueError(
-        f"cannot parse Pauli {text!r}: expected dense IXYZ text or sparse tokens like 'X0 Z3'"
-    )
-
-
 def parse_pauli(text: str, n_qubits: int) -> PauliString:
     """Parse dense ("XIZY") or sparse ("X0 Z3") Pauli notation.
 
@@ -221,30 +198,61 @@ def parse_pauli(text: str, n_qubits: int) -> PauliString:
         ValueError: invalid character, index >= n_qubits, duplicate sparse
             index, or wrong dense length.
     """
-    return PauliString(n_qubits, *_pauli_bits(pauli_notation(text), n_qubits, text))
+    x, z, _, _, problem = _pauli_bits(text, n_qubits, {})
+    if problem:
+        raise ValueError(problem)
+    return PauliString(n_qubits, x, z)
 
 
-def _pauli_bits(notation, n_qubits: int, text: str) -> tuple[int, int]:
-    """(x_bits, z_bits) on n_qubits qubits of `notation`, what pauli_notation(text) gave."""
-    if isinstance(notation, str):
-        if len(notation) != n_qubits:
-            raise ValueError(
-                f"dense Pauli {notation!r} has {len(notation)} characters, expected {n_qubits}"
-            )
-        reverse = notation[::-1]  # int() reads the last qubit first
-        return int(reverse.translate(_X_DIGITS), 2), int(reverse.translate(_Z_DIGITS), 2)
-    x = z = 0
-    for letter, idx in notation:
-        if idx >= n_qubits:
-            raise ValueError(f"qubit index {idx} out of range for n={n_qubits}")
+def _pauli_bits(text: str, n_qubits: int | None, memo: dict) -> tuple:
+    """(x_bits, z_bits, width, dense, problem) of dense or sparse Pauli text,
+    in one pass: width is the dense length or one past the largest index,
+    problem the first wrong length, index past n_qubits or repeated index,
+    and the sparse bits stop before it. n_qubits None checks no dense length
+    and bounds indices by sys.maxsize. `memo`, shared across calls, maps
+    each sparse token read to (index, sets x, sets z).
+
+    Raises:
+        ValueError: empty text, or text that is neither dense nor sparse.
+    """
+    tokens = text.split()
+    letters = "".join(tokens)
+    if _DENSE_LETTERS.issuperset(letters):
+        if not letters:
+            raise ValueError("empty Pauli specification")
+        width, problem = len(letters), None
+        if n_qubits is not None and width != n_qubits:
+            problem = f"dense Pauli {letters!r} has {width} characters, expected {n_qubits}"
+        reverse = letters[::-1]  # int() reads the last qubit first
+        x, z = int(reverse.translate(_X_DIGITS), 2), int(reverse.translate(_Z_DIGITS), 2)
+        return x, z, width, True, problem
+    limit = sys.maxsize if n_qubits is None else n_qubits
+    x = z = width = 0
+    problem = None
+    for token in tokens:
+        if token not in memo:  # read each distinct token once
+            letter, digits = token[0], token[1:]
+            if letter not in "XYZ" or not digits.isdecimal():  # isdecimal: what int() reads
+                expected = "expected dense IXYZ text or sparse tokens like 'X0 Z3'"
+                raise ValueError(f"cannot parse Pauli {text!r}: {expected}")
+            memo[token] = int(digits), letter != "Z", letter != "X"
+        idx, has_x, has_z = memo[token]
+        if idx >= width:
+            width = idx + 1
+        if problem:
+            continue
+        if idx >= limit:
+            problem = f"qubit index {idx} out of range for n={n_qubits}"
+            continue
         bit = 1 << idx
         if (x | z) & bit:
-            raise ValueError(f"duplicate qubit index {idx} in {text!r}")
-        if letter != "Z":
+            problem = f"duplicate qubit index {idx} in {text!r}"
+            continue
+        if has_x:
             x |= bit
-        if letter != "X":
+        if has_z:
             z |= bit
-    return x, z
+    return x, z, width, False, problem
 
 
 def _transpose(rows: Iterable[Sequence[int]], xs, zs) -> None:

@@ -74,10 +74,17 @@ MUTANTS = [
         ("test_paulis.py",),
     ),
     Mutant(
+        "the one-pass sparse parse skips the repeated-index check",
+        "paulis.py",
+        "if (x | z) & bit:",
+        "if False:",
+        ("test_hamiltonians.py",),
+    ),
+    Mutant(
         "parser lets index n through to PauliString",
         "paulis.py",
-        "if idx >= n_qubits:",
-        "if idx > n_qubits:",
+        "if idx >= limit:",
+        "if idx > limit:",
         ("test_paulis.py",),
     ),
     Mutant(
@@ -177,8 +184,8 @@ MUTANTS = [
     Mutant(
         "k* with zero tolerance needs more than the maximum",
         "analysis.py",
-        "if r.r_hat >= (1.0 - rel_tol) * best_r",
-        "if r.r_hat > (1.0 - rel_tol) * best_r",
+        "if r >= (1.0 - rel_tol) * best_r",
+        "if r > (1.0 - rel_tol) * best_r",
         ("test_analysis.py",),
     ),
     Mutant(
@@ -310,7 +317,7 @@ MUTANTS = [
     Mutant(
         "loader drops the sparse index's sys.maxsize check",
         "hamiltonians.py",
-        "if width > sys.maxsize:",
+        "if w > sys.maxsize:",
         "if False:",
         ("test_hamiltonians.py",),
     ),
@@ -333,6 +340,20 @@ MUTANTS = [
         "hamiltonians.py",
         'f"{path}: line {ln}: {message}"',
         'f"{path}: line {ln - 1}: {message}"',
+        ("test_hamiltonians.py",),
+    ),
+    Mutant(
+        "the loader raises a syntax error before it has scanned every coefficient",
+        "hamiltonians.py",
+        "syntax = ln, str(exc)\n",
+        "raise _line_error(path, ln, str(exc))\n",
+        ("test_hamiltonians.py",),
+    ),
+    Mutant(
+        "the column check skips duplicates",
+        "hamiltonians.py",
+        "or len(set(zip(xs, zs))) < len(xs)",
+        "or False",
         ("test_hamiltonians.py",),
     ),
     Mutant(

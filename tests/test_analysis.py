@@ -447,6 +447,17 @@ class TestSweep:
         monkeypatch.setattr(PauliString, "__init__", refuse)
         assert k_sweep(h, range(1, 13), with_circuits=True, jobs=1) == expected
 
+    def test_circuit_cells_build_no_block_spec(self, monkeypatch):
+        # each k's cell synthesizes under the starts range(0, n, k), not
+        # under a BlockSpec whose per-qubit home costs O(n) for every k
+        def refuse(*args, **kwargs):
+            raise AssertionError("BlockSpec built on the sweep's synthesis path")
+
+        h = random_hamiltonian(12, 3.0, seed=2)
+        expected = self.round_trip_rows(h, range(1, 13), "sorted", None)
+        monkeypatch.setattr(BlockSpec, "__init__", refuse)
+        assert k_sweep(h, range(1, 13), with_circuits=True, jobs=1) == expected
+
     def test_parallel_matches_serial(self, pool_at_any_work):
         h = random_hamiltonian(10, 2.0, seed=5)
         serial = k_sweep(h, range(1, 11), jobs=1)
@@ -932,6 +943,26 @@ class TestScaling:
         assert k_star_scaling(factory, [6, 4, 6, 6], seeds=range(3)) == once
         assert [(r.n, r.num_seeds) for r in once] == [(6, 3), (4, 3)]
         assert k_star_scaling(tfim, [4, 4]) == k_star_scaling(tfim, [4])
+
+    def test_cells_read_k_star_from_the_sweep_itself(self, monkeypatch):
+        # a k* cell takes k* from the grouped (k, groups, r_hat) triples by the
+        # rule find_k_star applies to a sweep's rows, and builds no row
+        random_w2 = lambda n, seed: random_hamiltonian(n, 2.0, seed)  # noqa: E731
+        square = lambda n: bacon_shor(math.isqrt(n), math.isqrt(n))  # noqa: E731
+        cells = [(tfim, 6, None, 1e-9), (hardcore_boson_1d, 5, None, 0.0),
+                 (square, 9, None, 1e-9), (random_w2, 8, 3, 1e-9), (random_w2, 12, 1, 0.1)]
+        expected = [
+            find_k_star(k_sweep(f(n) if s is None else f(n, s), range(1, n + 1)), tol)
+            for f, n, s, tol in cells
+        ]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a SweepRow was built")
+
+        monkeypatch.setattr(SweepRow, "__init__", refuse)
+        assert [analysis_module._scaling_cell(cell) for cell in cells] == expected
+        with pytest.raises(ValueError, match=r"block size 4 out of range \[1, 3\]"):
+            analysis_module._scaling_cell((lambda n: tfim(3), 4, None, 1e-9))
 
     def test_rejects_empty_args(self):
         with pytest.raises(ValueError):

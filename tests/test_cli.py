@@ -25,6 +25,7 @@ from pauliblocks import (
     CliffordCircuit,
     PauliString,
     Tableau,
+    Term,
     analysis,
     circuit_from_text,
     circuit_to_text,
@@ -215,6 +216,21 @@ class TestKstarBoundDiag:
         assert recording_pool.started == [2]
         assert recording_pool.chunks == [9]  # ceil(72 cells / (4 * 2 workers))
 
+    def test_kstar_small_work_estimate_is_pinned(self, monkeypatch):
+        # the benchmark's kstar_small arguments estimate 438,540 steps, below
+        # the pool's threshold; a change to how instances are built must not
+        # move that scan onto a pool unseen
+        estimated = []
+
+        def estimating_map(fn, items, jobs, work):
+            estimated.append(sum(work))
+            return [analysis.KStarResult(1, 1)] * len(items)
+
+        monkeypatch.setattr(analysis, "_map", estimating_map)
+        argv = ["kstar", "random", "--sizes", "16,32,48,64", "--w", "2.0", "--seed", "1"]
+        assert run_cli(*argv, "--seeds", "30") == 0
+        assert estimated == [438_540] and estimated[0] < analysis._POOL_MIN_WORK
+
     def test_jobs_help_states_the_pool_threshold(self, capsys):
         for command in ("sweep", "kstar"):
             with pytest.raises(SystemExit):
@@ -363,6 +379,28 @@ class TestKstarBoundDiag:
         path = tmp_path / "h.txt"
         path.write_text("qubits: 4\n1.0 XXXX\n1.0 ZZZZ\n")
         assert run_cli("diag", str(path), "--k", "2", "--group-index", "9") == 1
+
+
+def test_commands_build_no_term(tmp_path, capsys, monkeypatch):
+    # group, sweep, kstar and diag read the Hamiltonian's columns; its Term
+    # tuple is built only for a caller that reads `terms`
+    path = tmp_path / "h.txt"
+    path.write_text(WORKED_EXAMPLE + "2.0 Y0 Z1\n")
+
+    def refuse(self, *args):
+        raise AssertionError("a Term was built")
+
+    monkeypatch.setattr(Term, "__init__", refuse)
+    for argv in (
+        ["group", str(path), "--k", "1"],
+        ["sweep", str(path), "--jobs", "1", "--with-circuits"],
+        ["diag", str(path), "--k", "2"],
+        ["kstar", "random", "--sizes", "4,6", "--seed", "1", "--seeds", "3", "--jobs", "1"],
+        ["kstar", "tfim", "--sizes", "4,6", "--jobs", "1"],
+        ["kstar", "hardcore-boson", "--sizes", "4,6", "--jobs", "1"],
+        ["kstar", "bacon-shor", "--sizes", "4,9", "--jobs", "1"],
+    ):
+        assert run_cli(*argv) == 0, capsys.readouterr().err
 
 
 class TestDiagRefusesAnUnverifiedCircuit:

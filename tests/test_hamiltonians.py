@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import itertools
+import pickle
+import random
 import re
 import sys
 import time
@@ -11,6 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
+import reference
 from conftest import folds_identity_if
 from pauliblocks import (
     BlockSpec,
@@ -88,6 +91,51 @@ class TestTypes:
             Hamiltonian(2, (), offset)
         with pytest.raises(ValueError, match="offset must be finite"):
             Hamiltonian(2, (Term(1.0, parse_pauli("XY", 2)),), offset)
+
+
+class TestColumns:
+    """A Hamiltonian holds its terms as columns and builds `terms` on first
+    read; one built from `Term`s is the same value."""
+
+    BUILDERS = {
+        "loaded": lambda path: load_hamiltonian(path),
+        "tfim": lambda path: tfim(4, 0.5, -2.0),
+        "hardcore-boson": lambda path: hardcore_boson_1d(3),
+        "bacon-shor": lambda path: bacon_shor(2, 3),
+        "random": lambda path: random_hamiltonian(6, 2.0, seed=4),
+    }
+
+    @pytest.mark.parametrize("build", BUILDERS.values(), ids=BUILDERS.keys())
+    def test_agrees_with_the_same_terms(self, tmp_path, build):
+        path = tmp_path / "h.txt"
+        path.write_text("qubits: 3\n0.5 X0 Z2\n-1.0 YYI\n2.0 Z1\n")
+        h = build(path)
+        twin = Hamiltonian(
+            h.n_qubits, [Term(c, p) for c, p in zip(h.coefficients(), h.paulis())], h.offset
+        )
+        # each check on a fresh value, whose terms no earlier read has built
+        fresh = lambda: build(path)  # noqa: E731
+        assert fresh() == twin and twin == fresh()
+        assert hash(fresh()) == hash(twin)
+        assert repr(fresh()) == repr(twin)
+        assert pickle.loads(pickle.dumps(fresh())) == twin
+        assert pickle.loads(pickle.dumps(twin)) == fresh()
+        assert fresh().num_terms == twin.num_terms == len(twin.terms)
+
+    def test_terms_are_built_once_on_first_read(self, monkeypatch):
+        h = tfim(3)
+        built = []
+        real = Term.__init__
+
+        def counting(self, *args):
+            built.append(args)
+            real(self, *args)
+
+        monkeypatch.setattr(Term, "__init__", counting)
+        assert h.num_terms == 5 and h.coefficients() == [1.0] * 5 and built == []
+        first = h.terms
+        assert h.terms is first and len(built) == 5
+        assert [t.pauli for t in first] == h.paulis()
 
 
 class TestBaconShor:
@@ -507,12 +555,12 @@ class TestPlainBits:
     def test_each_pauli_text_is_parsed_once(self, tmp_path, monkeypatch, header):
         texts = []
 
-        def counting(text, parse=paulis_module.pauli_notation):
+        def counting(text, *args, parse=paulis_module._pauli_bits):
             texts.append(text)
-            return parse(text)
+            return parse(text, *args)
 
         for module in (paulis_module, hamiltonians_module):
-            monkeypatch.setattr(module, "pauli_notation", counting)
+            monkeypatch.setattr(module, "_pauli_bits", counting)
         path = tmp_path / "h.txt"
         path.write_text(header + "# comment\n1.0 XYZ\n2.0 X0 Z2\n-1.0 I I Y\n")
         h = load_hamiltonian(path)
@@ -543,3 +591,91 @@ class TestPlainBits:
             path.write_text(header + "\n".join(lines[:kept]) + "\n")
             with pytest.raises(HamiltonianFileError, match=re.escape(message)):
                 load_hamiltonian(path)
+
+
+def _fuzz_line(rng: random.Random, n: int, pool: list[str]) -> str:
+    """One term-file line drawn from the alphabet of malformed and valid input."""
+    if rng.random() < 0.1:
+        return rng.choice(["", "# comment", "   ", "\t# indented comment", "", "qubits: 3"])
+    coefficient = rng.choice(
+        ["1.0", "-2.5", "0.5", "3", "-1.0", "0", "0.0", "-0.0", "1e-3", "1e308", "1_0"] * 12
+        + ["nan", "inf", "-inf", "1e309", "0x1", "\u0661.\u0665", "abc", "--1"]
+    )
+    if rng.random() < 0.6:
+        pauli = rng.choice(pool)
+    elif rng.random() < 0.5:  # dense, perhaps of another length or split by whitespace
+        length = n + rng.choice([0, 0, 0, 0, -1, 1])
+        pauli = rng.choice([" ", "", "\t"]).join(rng.choice("IXYZ") for _ in range(length))
+    else:  # sparse, perhaps repeating or passing the width, or malformed
+        tokens = []
+        for _ in range(rng.randint(1, 3)):
+            idx = rng.choice([rng.randrange(n), rng.randrange(n), n, rng.randrange(n + 2)])
+            digits = str(idx) if rng.random() < 0.9 else chr(0x0660 + idx % 10)  # Arabic-Indic
+            tokens.append(rng.choice("XYZ") + digits)
+        if rng.random() < 0.15:
+            tokens.append(rng.choice(["Q1", "I0", "X", "x1", "X-1", "XI", f"X{sys.maxsize}"]))
+        pauli = rng.choice([" ", "  ", "\t"]).join(tokens)
+    if rng.random() < 0.01:
+        return coefficient
+    gap = rng.choice([" ", "\t", "   "])
+    return f"{coefficient}{gap}{pauli}"
+
+
+def _fuzz_file(seed: int) -> str:
+    rng = random.Random(seed)
+    n = rng.randint(1, 5)
+    pool = ["".join(rng.choice("IXYZ") for _ in range(n)) for _ in range(3)]
+    pool += ["I" * n, f"{rng.choice('XYZ')}{rng.randrange(n)}"]
+    lines = [rng.choice(["# fuzzed term file", "", "  "]) for _ in range(rng.randint(0, 2))]
+    header = rng.random()
+    if header < 0.5:
+        lines.append(f"qubits: {n}")
+    elif header < 0.6:
+        lines.append(rng.choice([f"QUBITS:{n}", "qubits: 0", "qubits: two", f"qubits: {n + 1}"]))
+    lines += [_fuzz_line(rng, n, pool) for _ in range(rng.randint(0, 9))]
+    if rng.random() < 0.3:  # a string and its negation: merged to zero
+        lines += [f"1.5 {pool[0]}", f"-1.5 {pool[0]}"]
+    if rng.random() < 0.1:  # a merge or an identity offset that overflows
+        lines += [f"1e308 {rng.choice(pool[-2:])}"] * 2
+    text = rng.choice(["\n", "\r\n"]).join(lines) + rng.choice(["\n", ""])
+    return ("\ufeff" if rng.random() < 0.2 else "") + text
+
+
+def _outcome(load, path):
+    """(the Hamiltonian and its repr, or the error's type and text, and the
+    warnings) of one load."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            h = load(path)
+            result = h, repr(h)
+        except ValueError as exc:
+            result = type(exc).__name__, str(exc)
+    return result, [str(w.message) for w in caught]
+
+
+class TestOnePassLoader:
+    """The one-pass loader against the frozen three-pass one it replaced."""
+
+    STEMS = (  # a loaded Hamiltonian, and every error and warning the loader gives
+        "loaded", "header must be the first", "cannot parse qubit count", "must be positive",
+        "expected '<coefficient> <pauli>'", "invalid coefficient", "coefficient must be finite",
+        "no terms found", "cannot parse Pauli", "needs more than sys.maxsize",
+        "characters, expected", "out of range for n", "duplicate qubit index",
+        "non-finite coefficient", "non-finite offset", "dropping zero-coefficient",
+        "folding identity", "merging duplicate term", "merged to zero",
+    )
+
+    def test_agrees_with_the_three_pass_loader(self, tmp_path):
+        kinds = set()
+        for seed in range(300):
+            path = tmp_path / f"fuzz{seed}.txt"
+            path.write_bytes(_fuzz_file(seed).encode("utf-8"))
+            expected = _outcome(reference.load_hamiltonian, path)
+            assert _outcome(load_hamiltonian, path) == expected, (seed, path.read_text())
+            result, warned = expected
+            message = "loaded" if isinstance(result[0], Hamiltonian) else result[1]
+            texts = (message, *warned)
+            kinds.update(stem for stem in self.STEMS for text in texts if stem in text)
+        # the files reach every outcome
+        assert kinds == set(self.STEMS)
