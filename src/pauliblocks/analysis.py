@@ -17,7 +17,7 @@ import sys
 from collections import Counter
 from typing import Callable, Iterable, Sequence
 
-from .grouping import _anti_table, _order, _relation_classes, _sweep_groups, _terms
+from .grouping import _order, _sweep_groups, _terms
 from .hamiltonians import Hamiltonian
 from .paulis import BlockSpec, PauliString, _Frozen, block_commutes_all, restrict
 
@@ -86,28 +86,16 @@ class ScalingRow(_Row):
         self._set("num_seeds", num_seeds)
 
 
-# A pool starts only for about 0.1 s of serial work or more: on 2 cores
-# (Python 3.11, fork) importing it took about 19 ms of CPU and starting and
-# stopping two workers about 9 ms more, so below that it gives up some wall
-# time to save that CPU. Work is counted in steps of about 0.1 us there,
-# estimated by each caller from what its cells will do before any runs, so
-# the same arguments take the same path on every machine.
-_POOL_MIN_WORK = 1_000_000
-
-
-def _map(fn: Callable, items: list, jobs: int, work: Iterable[int]) -> list:
+def _map(fn: Callable, items: list, jobs: int) -> list:
     """[fn(item) for item in items], on up to `jobs` worker processes when
-    jobs > 1, there is more than one item and the estimated steps of all the
-    items reach `_POOL_MIN_WORK`. `work` yields them in parts, which are
-    counted only then and only until their sum reaches it, so a caller can
-    yield its costliest parts first. No more workers start than there are
-    items: under fork the pool starts all of them up front. Each worker
-    takes the items in chunks, about four per worker. The pool is imported
-    only here: importing it loads multiprocessing, which serial runs need
-    not."""
+    jobs > 1 and there is more than one item. No more workers start than
+    there are items: under fork the pool starts all of them up front. Each
+    worker takes the items in chunks, about four per worker. The pool is
+    imported only here: importing it loads multiprocessing, which serial
+    runs need not."""
     if operator.index(jobs) < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    if jobs > 1 and len(items) > 1 and _reaches(work, _POOL_MIN_WORK):
+    if jobs > 1 and len(items) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         workers = min(jobs, len(items))
@@ -115,15 +103,6 @@ def _map(fn: Callable, items: list, jobs: int, work: Iterable[int]) -> list:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, items, chunksize=chunksize))
     return [fn(item) for item in items]
-
-
-def _reaches(parts: Iterable[int], least: int) -> bool:
-    total = 0
-    for part in parts:
-        total += part
-        if total >= least:
-            return True
-    return total >= least
 
 
 def _circuit_cell(args) -> tuple[int, int]:
@@ -156,9 +135,9 @@ def k_sweep(
     When `with_circuits` is set, each row also reports the largest
     per-block diagonalization sub-circuit (gate count and greedy-layering
     depth) over that row's groups, synthesized under that row's own blocks.
-    Only that synthesis runs on worker processes, one cell per k on up to
-    `jobs` of them, and only when the synthesis is estimated to take
-    `_POOL_MIN_WORK` steps; a sweep without circuits starts none.
+    Only that synthesis runs on worker processes: one cell per k on up to
+    `jobs` of them, when jobs > 1 and there is more than one k. A sweep
+    without circuits starts none.
     """
     ks = sorted(set(map(operator.index, ks)))
     if not ks:
@@ -174,11 +153,7 @@ def k_sweep(
     if not with_circuits:
         return [SweepRow(k, len(groups), r_hat) for k, groups, r_hat in swept]
     cells = [(t.n_qubits, t.xs, t.zs, k, groups) for k, groups, _ in swept]
-    n = t.n_qubits
-    # about 20 steps for each term restricted to each block of each k, and
-    # for each group's synthesis on each qubit
-    work = (20 * (len(t.xs) * -(-n // k) + len(g) * n) for k, g, _ in swept)
-    circuits = _map(_circuit_cell, cells, jobs, work)
+    circuits = _map(_circuit_cell, cells, jobs)
     return [SweepRow(k, len(g), r, *c) for (k, g, r), c in zip(swept, circuits)]
 
 
@@ -202,33 +177,14 @@ def _k_star(swept: Sequence[tuple[int, int, float]], rel_tol: float) -> KStarRes
     return KStarResult(k_rhat, k_groups)
 
 
-def _instance(factory: Callable, n: int, seed: int | None) -> Hamiltonian:
-    return factory(n) if seed is None else factory(n, seed)
-
-
 def _scaling_cell(args) -> KStarResult:
     """k* of one instance over k = 1..n, from `_sweep_groups` itself: no row per k."""
     factory, n, seed, rel_tol = args
-    t = _terms(_instance(factory, n, seed))
+    t = _terms(factory(n) if seed is None else factory(n, seed))
     if n > t.n_qubits:  # as k_sweep refuses it
         raise ValueError(f"block size {t.n_qubits + 1} out of range [1, {t.n_qubits}]")
     swept = _sweep_groups(t, _order(t, "sorted", None), range(1, n + 1))
     return _k_star([(k, len(groups), r) for k, groups, r in swept], rel_tol)
-
-
-def _scaling_steps(h: Hamiltonian) -> int:
-    """Estimated steps of `_scaling_cell` on h, each about 0.1 us: fitted on
-    k* cells of all four families (2 cores, Python 3.11), each within 1.4x.
-    Each block size costs 30 (its row and its share of building h) and half
-    a step per cut; each term costs 10, and 10 per qubit it acts on (the
-    anticommutation table), and 3 per relation class (a column fit and a
-    score)."""
-    t = _terms(h)
-    antis, cuts = _anti_table(t, range(h.num_terms))
-    ks = range(1, h.n_qubits + 1)
-    classes = len(_relation_classes(cuts, ks))
-    table = h.num_terms + sum(map(len, antis))
-    return len(ks) * (60 + len(cuts)) // 2 + 10 * table + 3 * h.num_terms * classes
 
 
 def k_star_scaling(
@@ -247,9 +203,7 @@ def k_star_scaling(
     `factory(n, seed)` builds each instance and rows carry the mean and
     population standard deviation over the seeds. A repeated size gives
     one row, at its first position. The instances run on up to `jobs`
-    worker processes only when they are estimated to take `_POOL_MIN_WORK`
-    steps, counted on the first seed's instance of each size, largest
-    first.
+    worker processes when jobs > 1 and there is more than one instance.
     """
     import statistics  # for the random family's mean and spread
 
@@ -261,12 +215,7 @@ def k_star_scaling(
         raise ValueError("empty seed list")
     per_size = [None] if seed_list is None else seed_list
     cells = [(factory, n, seed, rel_tol) for n in sizes for seed in per_size]
-    # largest first, one instance of each size standing for all its seeds
-    work = (
-        len(per_size) * _scaling_steps(_instance(factory, n, per_size[0]))
-        for n in sorted(sizes, reverse=True)
-    )
-    results = _map(_scaling_cell, cells, jobs, work)
+    results = _map(_scaling_cell, cells, jobs)
 
     rows = []
     for i, n in enumerate(sizes):

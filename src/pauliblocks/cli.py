@@ -10,7 +10,6 @@ import argparse
 import functools
 import io
 import math
-import os
 import sys
 
 from .grouping import random_insertion, sorted_insertion
@@ -252,13 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     family.add_argument("--w", type=float, default=2.0, help="mean term weight (random)")
     table = options()
     table.add_argument(
-        "--jobs",
-        type=int,
-        default=os.cpu_count() or 1,
-        help=(
-            "worker processes (default: all cores), started only for at least "
-            "1,000,000 estimated steps of work, about 0.1 s serially (see README)"
-        ),
+        "--jobs", type=int, default=1, help="worker processes; 1 starts none (default 1)"
     )
     table.add_argument("--format", choices=("csv", "json"), default="csv")
     out = options()

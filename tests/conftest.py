@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from pauliblocks import CliffordCircuit, Gate, PauliString
-from pauliblocks import analysis, grouping
+from pauliblocks import grouping
 
 # ---------------------------------------------------------------------------
 # Dense-matrix oracles, independent of the bit-vector implementation.
@@ -127,13 +127,6 @@ def deadline(monkeypatch):
     yield
     signal.alarm(0)
     signal.signal(signal.SIGALRM, previous)
-
-
-@pytest.fixture
-def pool_at_any_work(monkeypatch):
-    """Let `analysis._map` start its pool however little work it is handed,
-    so that small inputs exercise the pooled path."""
-    monkeypatch.setattr(analysis, "_POOL_MIN_WORK", 0)
 
 
 class _PoolRecord:

@@ -189,10 +189,17 @@ MUTANTS = [
         ("test_analysis.py",),
     ),
     Mutant(
-        "pool threshold is never reached",
+        "a pool starts for a single cell",
         "analysis.py",
-        "_reaches(work, _POOL_MIN_WORK)",
-        "_reaches(work, math.inf)",
+        "if jobs > 1 and len(items) > 1:",
+        "if jobs > 1 and len(items) >= 1:",
+        ("test_analysis.py",),
+    ),
+    Mutant(
+        "a pool starts a worker per job, not per cell",
+        "analysis.py",
+        "workers = min(jobs, len(items))",
+        "workers = jobs",
         ("test_analysis.py",),
     ),
     Mutant(
@@ -215,13 +222,6 @@ MUTANTS = [
         "chunksize = math.ceil(len(items) / (4 * workers))",
         "chunksize = 1",
         ("test_analysis.py",),
-    ),
-    Mutant(
-        "k* work estimate drops the class term",
-        "analysis.py",
-        " + 10 * table + 3 * h.num_terms * classes",
-        " + 10 * table",
-        ("test_analysis.py", "test_cli.py"),
     ),
     Mutant(
         "conjugate: H swaps no z bit",
@@ -369,6 +369,13 @@ MUTANTS = [
         "while len(drawn) < n:",
         "while len(drawn) < n - 1:",
         ("test_hamiltonians.py",),
+    ),
+    Mutant(
+        "the CLI defaults to two workers",
+        "cli.py",
+        '"--jobs", type=int, default=1,',
+        '"--jobs", type=int, default=2,',
+        ("test_cli.py",),
     ),
     Mutant(
         "main catches only ValueError and OSError",

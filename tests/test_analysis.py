@@ -412,7 +412,7 @@ class TestSweep:
     )
     @pytest.mark.parametrize("algorithm, seed", [("sorted", None), ("random", 6)])
     def test_circuit_columns_match_whole_circuit_round_trip(
-        self, pool_at_any_work, h, algorithm, seed
+        self, h, algorithm, seed
     ):
         ks = range(1, h.n_qubits + 1)
         expected = self.round_trip_rows(h, ks, algorithm, seed)
@@ -458,7 +458,7 @@ class TestSweep:
         monkeypatch.setattr(BlockSpec, "__init__", refuse)
         assert k_sweep(h, range(1, 13), with_circuits=True, jobs=1) == expected
 
-    def test_parallel_matches_serial(self, pool_at_any_work):
+    def test_parallel_matches_serial(self):
         h = random_hamiltonian(10, 2.0, seed=5)
         serial = k_sweep(h, range(1, 11), jobs=1)
         parallel = k_sweep(h, range(1, 11), jobs=4)
@@ -468,7 +468,7 @@ class TestSweep:
         parallel = k_sweep(h, range(1, 11), with_circuits=True, jobs=2)
         assert serial == parallel
 
-    def test_pool_starts_no_more_workers_than_cells(self, pool_at_any_work, recording_pool):
+    def test_pool_starts_no_more_workers_than_cells(self, recording_pool):
         started, handed = recording_pool.started, recording_pool.handed
 
         def assert_cells_hold_only_groups(h, ks):
@@ -511,75 +511,23 @@ class TestSweep:
         # under four cells per worker, each cell goes out on its own
         assert recording_pool.chunks == [1, 1, 1, 1, 1]
 
-    def test_pool_starts_at_the_work_threshold(self, recording_pool):
-        least = analysis_module._POOL_MIN_WORK
-        assert least == 1_000_000
+    def test_pool_starts_on_jobs_and_cells_alone(self, recording_pool):
         items = list(range(41))
         negated = [-i for i in items]
-        assert analysis_module._map(operator.neg, items, 2, [least - 2, 1]) == negated
+        # one item or one job starts no pool
+        assert analysis_module._map(operator.neg, [3], 8) == [-3]
+        assert analysis_module._map(operator.neg, items, 1) == negated
         assert recording_pool.started == []
-        assert analysis_module._map(operator.neg, items, 2, [least - 2, 1, 1]) == negated
+        # two jobs and two items start one, however little the items do
+        assert analysis_module._map(operator.neg, items[:2], 2) == negated[:2]
         assert recording_pool.started == [2]
         # about four chunks per worker: ceil(41 / (4 * 2)) items each
-        assert recording_pool.chunks == [6]
-
-        def counted_until(parts):
-            # the parts, failing if one is read after their sum reaches least
-            total = 0
-            for part in parts:
-                assert total < least, "work counted past the threshold"
-                total += part
-                yield part
-
-        # the parts are read only until they reach the threshold
-        assert analysis_module._map(operator.neg, items, 2, counted_until([least, 1])) == negated
-        assert recording_pool.started == [2, 2]
-        # one item or one job starts no pool, and reads no work
-        unread = iter([least])
-        assert analysis_module._map(operator.neg, [3], 8, unread) == [-3]
-        assert analysis_module._map(operator.neg, items, 1, unread) == negated
-        assert next(unread) == least
+        assert analysis_module._map(operator.neg, items, 2) == negated
         assert recording_pool.started == [2, 2]
         # no more workers than items, and then one item per chunk
-        assert analysis_module._map(operator.neg, items[:5], 64, [least]) == negated[:5]
+        assert analysis_module._map(operator.neg, items[:5], 64) == negated[:5]
         assert recording_pool.started == [2, 2, 5]
-        assert recording_pool.chunks == [6, 6, 1]
-
-    def test_scaling_steps_by_hand(self):
-        steps = analysis_module._scaling_steps
-        # tfim(4): 4 block sizes, 7 terms acting on 10 qubits in all, no
-        # cuts, so one relation class
-        assert steps(tfim(4)) == 4 * 30 + 10 * (7 + 10) + 3 * 7 * 1
-        # hardcore_boson_1d(4): XX and YY on each of 3 pairs anticommute on
-        # both qubits, cutting (0, 1), (1, 2) and (2, 3); each k keeps a
-        # different set of them together, so 4 classes; 10 terms on 16 qubits
-        assert steps(hardcore_boson_1d(4)) == 4 * (60 + 3) // 2 + 10 * (10 + 16) + 3 * 10 * 4
-
-    def test_work_counts(self, monkeypatch):
-        counts = []  # (cell function, cell count, work) of every map
-
-        def recording_map(fn, items, jobs, work):
-            work = list(work)
-            counts.append((fn.__name__, len(items), work))
-            return real(fn, items, jobs, work)
-
-        real = analysis_module._map
-        monkeypatch.setattr(analysis_module, "_map", recording_map)
-        steps = analysis_module._scaling_steps
-        # a k* scan: each distinct size's instance once, largest first
-        k_star_scaling(tfim, [4, 6, 4], jobs=2)
-        # the first seed's instance stands for every seed of its size
-        random_w2 = lambda n, seed: random_hamiltonian(n, 2.0, seed)  # noqa: E731
-        k_star_scaling(random_w2, [5, 6], seeds=[7, 8, 9], jobs=2)
-        # a circuit sweep of tfim(4), 2 groups (the ZZs, the Xs) at every k:
-        # 20 per term per block and per group per qubit, per distinct k
-        k_sweep(tfim(4), [1, 3, 3, 4], with_circuits=True, jobs=2)
-        k_sweep(tfim(4), [1, 3], jobs=2)  # without circuits, nothing is mapped
-        assert counts == [
-            ("_scaling_cell", 2, [steps(tfim(6)), steps(tfim(4))]),
-            ("_scaling_cell", 6, [3 * steps(random_w2(6, 7)), 3 * steps(random_w2(5, 7))]),
-            ("_circuit_cell", 3, [20 * (7 * 4 + 2 * 4), 20 * (7 * 2 + 2 * 4), 20 * (7 + 2 * 4)]),
-        ]
+        assert recording_pool.chunks == [1, 6, 1]
 
     def test_serial_sweep_builds_one_anticommutation_table(self, monkeypatch):
         h = hardcore_boson_1d(6)
@@ -659,7 +607,7 @@ import concurrent.futures
 import multiprocessing
 import sys
 
-from pauliblocks import analysis, grouping, k_star_scaling, k_sweep, random_hamiltonian, tfim
+from pauliblocks import grouping, k_star_scaling, k_sweep, random_hamiltonian, tfim
 
 
 class ReadOnce(list):
@@ -674,8 +622,6 @@ class ReadOnce(list):
 
 real_fit = grouping._column_fit
 grouping._column_fit = lambda antis, order, home: real_fit(antis, ReadOnce(order), home)
-# these inputs are far below the work a pool pays for: start one anyway
-analysis._POOL_MIN_WORK = 0
 started = []  # max_workers of every pool started
 
 
@@ -744,7 +690,7 @@ class TestRelationClasses:
     @pytest.mark.parametrize("name", list(SWEEP_CORPUS))
     @pytest.mark.parametrize("algorithm, seed", [("sorted", None), ("random", 6)])
     def test_sweep_matches_independent_grouping_at_every_k(
-        self, pool_at_any_work, name, algorithm, seed
+        self, name, algorithm, seed
     ):
         h = SWEEP_CORPUS[name]
         ks = range(1, h.n_qubits + 1)

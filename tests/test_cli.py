@@ -26,7 +26,6 @@ from pauliblocks import (
     PauliString,
     Tableau,
     Term,
-    analysis,
     circuit_from_text,
     circuit_to_text,
     cli,
@@ -203,42 +202,32 @@ class TestKstarBoundDiag:
         assert run_cli("kstar", "bacon-shor", "--sizes", "4,5", "--jobs", "1") == 1
         assert "perfect square" in capsys.readouterr().err
 
-    def test_kstar_small_scans_start_no_pool(self, capsys, recording_pool):
-        # the benchmark's kstar_small arguments: 438,540 estimated steps of
-        # work, below the pool's threshold
-        argv = ["kstar", "random", "--sizes", "16,32,48,64", "--seed", "1", "--seeds", "30"]
-        assert run_cli(*argv, "--jobs", "8") == 0
-        assert recording_pool.started == []
-        # the golden corpus's pooled scan: much the same sizes with heavier
-        # terms, 1,221,408 steps, past it
-        argv = ["kstar", "random", "--sizes", "32,48,64", "--w", "7", "--seeds", "24"]
-        assert run_cli(*argv, "--seed", "0", "--jobs", "2") == 0
-        assert recording_pool.started == [2]
-        assert recording_pool.chunks == [9]  # ceil(72 cells / (4 * 2 workers))
-
-    def test_kstar_small_work_estimate_is_pinned(self, monkeypatch):
-        # the benchmark's kstar_small arguments estimate 438,540 steps, below
-        # the pool's threshold; a change to how instances are built must not
-        # move that scan onto a pool unseen
-        estimated = []
-
-        def estimating_map(fn, items, jobs, work):
-            estimated.append(sum(work))
-            return [analysis.KStarResult(1, 1)] * len(items)
-
-        monkeypatch.setattr(analysis, "_map", estimating_map)
+    def test_default_jobs_start_no_pool(self, tmp_path, capsys, recording_pool):
+        # the benchmark's kstar_small arguments, at the default --jobs
         argv = ["kstar", "random", "--sizes", "16,32,48,64", "--w", "2.0", "--seed", "1"]
         assert run_cli(*argv, "--seeds", "30") == 0
-        assert estimated == [438_540] and estimated[0] < analysis._POOL_MIN_WORK
+        assert recording_pool.started == []
+        capsys.readouterr()
+        # three terms on 1,000 qubits: a circuit sweep of 1,000 cells runs
+        # in this process unless --jobs asks for workers
+        path = tmp_path / "w.txt"
+        path.write_text("qubits: 1000\n1.0 Z0\n0.5 X1 X2\n0.25 Z1 Z2\n", encoding="utf-8")
+        assert run_cli("sweep", str(path), "--with-circuits") == 0
+        serial = capsys.readouterr().out
+        assert recording_pool.started == []
+        assert run_cli("sweep", str(path), "--with-circuits", "--jobs", "2") == 0
+        assert capsys.readouterr().out == serial
+        assert recording_pool.started == [2]
+        assert recording_pool.chunks == [125]  # ceil(1,000 cells / (4 * 2 workers))
 
-    def test_jobs_help_states_the_pool_threshold(self, capsys):
+    def test_jobs_help_states_the_pool_rule(self, capsys):
         for command in ("sweep", "kstar"):
             with pytest.raises(SystemExit):
                 run_cli(command, "--help")
             help_text = " ".join(capsys.readouterr().out.split())
-            assert f"at least {analysis._POOL_MIN_WORK:,} estimated steps" in help_text
+            assert "--jobs JOBS worker processes; 1 starts none (default 1)" in help_text
 
-    def test_kstar_parallel_jobs_match_serial(self, capsys, pool_at_any_work):
+    def test_kstar_parallel_jobs_match_serial(self, capsys):
         # factories must survive pickling into worker processes
         for family, jobs in (("bacon-shor", 3), ("tfim", 3), ("hardcore-boson", 3)):
             assert (
@@ -266,7 +255,7 @@ class TestKstarBoundDiag:
         )
         assert json.loads(capsys.readouterr().out)[0]["num_seeds"] == 4
 
-    def test_a_dead_worker_prints_one_error_line(self, capsys, monkeypatch, pool_at_any_work):
+    def test_a_dead_worker_prints_one_error_line(self, capsys, monkeypatch):
         # a worker killed by a signal or the OOM killer breaks the pool, and
         # the pool's map raises BrokenProcessPool, a RuntimeError
         class BrokenPool:

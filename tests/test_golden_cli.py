@@ -112,19 +112,11 @@ qubits: 16
 WIDE_SPARSE = "qubits: 1000\n1.0 Z0\n0.5 X1 X2\n0.25 Z1 Z2\n"
 
 
-def _case(*argv, files=None, outs=(), then=(), pool_at_any_work=False):
+def _case(*argv, files=None, outs=(), then=()):
     """One `main()` run, followed by the runs in `then` in the same directory;
-    a case's fingerprint covers all of them together. With
-    `pool_at_any_work`, `--jobs` above 1 starts a process pool however
-    little work the case holds (by lowering `analysis._POOL_MIN_WORK` to 0
-    while it runs), so small inputs check the pooled path."""
+    a case's fingerprint covers all of them together."""
     argvs = [list(argv), *map(list, then)]
-    return {
-        "argvs": argvs,
-        "files": files or {},
-        "outs": list(outs),
-        "pool_at_any_work": pool_at_any_work,
-    }
+    return {"argvs": argvs, "files": files or {}, "outs": list(outs)}
 
 
 _M = {"mixed.txt": MIXED}
@@ -168,7 +160,7 @@ CASES = {
     ),
     "sweep_jobs2": _case(
         "sweep", "mixed.txt", "--ks", "1..6", "--with-circuits", "--jobs", "2",
-        files=_M, pool_at_any_work=True,
+        files=_M,
     ),
     "group_sweep_nondyadic": _case(
         "group", "nd.txt", "--k", "1", files={"nd.txt": NONDYADIC},
@@ -225,11 +217,10 @@ CASES = {
     "sweep_hardcore_boson_circuits_jobs2": _case(
         "gen", "hardcore-boson", "--n", "7", "--t", "3", "--out", "hb.txt",
         then=[("sweep", "hb.txt", "--with-circuits", "--jobs", "2")],
-        pool_at_any_work=True,
     ),
     "kstar_random_jobs2": _case(
         "kstar", "random", "--sizes", "6,9,12", "--w", "2", "--seed", "21",
-        "--seeds", "5", "--jobs", "2", pool_at_any_work=True,
+        "--seeds", "5", "--jobs", "2",
     ),
     # heavy random terms: many even-anticommuting pairs, so many classes of
     # block sizes, grouped in a seeded random order on a pool
@@ -239,7 +230,6 @@ CASES = {
             "sweep", "r.txt", "--algorithm", "random", "--seed", "11", "--jobs", "2",
             "--with-circuits",
         )],
-        pool_at_any_work=True,
     ),
     "sweep_ks_list": _case(
         "gen", "random", "--n", "14", "--w", "7", "--seed", "4", "--out", "r.txt",
@@ -253,16 +243,14 @@ CASES = {
             ("sweep", "r.txt", "--jobs", "3", "--with-circuits"),
             ("sweep", "r.txt", "--jobs", "3", "--format", "json"),
         ],
-        pool_at_any_work=True,
     ),
     "kstar_random_jobs3": _case(
         "kstar", "random", "--sizes", "5,8,11", "--w", "2.5", "--seed", "31",
-        "--seeds", "4", "--jobs", "3", pool_at_any_work=True,
+        "--seeds", "4", "--jobs", "3",
     ),
-    # 1,221,408 and 1,200,640 estimated steps of work, past the pool's
-    # threshold, so these two start a real pool: 72 instances go to two
-    # workers in chunks of 9, and 64 block sizes to three workers in 11
-    # chunks of at most 6, so the workers' shares differ
+    # larger pooled runs: 72 instances go to two workers in chunks of 9, and
+    # 64 block sizes to three workers in 11 chunks of at most 6, so the
+    # workers' shares differ
     "kstar_random_pooled": _case(
         "kstar", "random", "--sizes", "32,48,64", "--w", "7", "--seeds", "24",
         "--seed", "0", "--jobs", "2",
@@ -374,7 +362,6 @@ POOLS = {
 
 def run_case(case: dict) -> dict:
     """Run one case in a fresh temporary directory and fingerprint it."""
-    from pauliblocks import analysis
     from pauliblocks.cli import main
 
     out, err = io.StringIO(), io.StringIO()
@@ -389,10 +376,6 @@ def run_case(case: dict) -> dict:
                 warnings.simplefilter("always")
                 stack.enter_context(contextlib.redirect_stdout(out))
                 stack.enter_context(contextlib.redirect_stderr(err))
-                if case["pool_at_any_work"]:
-                    least = analysis._POOL_MIN_WORK
-                    stack.callback(setattr, analysis, "_POOL_MIN_WORK", least)
-                    analysis._POOL_MIN_WORK = 0
                 code = max(main(argv) for argv in case["argvs"])
             files = {name: _sha(Path(name).read_bytes()) for name in case["outs"]}
         finally:
