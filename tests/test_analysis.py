@@ -529,6 +529,19 @@ class TestSweep:
         assert recording_pool.started == [2, 2, 5]
         assert recording_pool.chunks == [1, 6, 1]
 
+    def test_circuit_sweep_defaults_to_one_job(self, recording_pool):
+        # a sweep with circuits runs in this process unless `jobs` asks for
+        # workers, and a sweep without circuits maps nothing either way
+        h = tfim(6)
+        serial = k_sweep(h, range(1, 7), with_circuits=True)
+        assert recording_pool.started == []
+        assert k_sweep(h, range(1, 7), with_circuits=True, jobs=3) == serial
+        assert recording_pool.started == [3]
+        # one cell per k, handed out in k order
+        assert [cell[3] for cell in recording_pool.handed[0]] == [1, 2, 3, 4, 5, 6]
+        k_sweep(h, range(1, 7), jobs=3)
+        assert recording_pool.started == [3]
+
     def test_serial_sweep_builds_one_anticommutation_table(self, monkeypatch):
         h = hardcore_boson_1d(6)
         expected = k_sweep(h, range(1, 7), jobs=1)
@@ -869,6 +882,34 @@ class TestScaling:
         rows = k_star_scaling(random_w2, np.array([4, 5]), seeds=np.arange(2), jobs=np.int64(1))
         assert rows == k_star_scaling(random_w2, [4, 5], seeds=[0, 1])
         assert all(type(r.n) is int for r in rows)
+
+    def test_scaling_defaults_to_one_job(self, recording_pool):
+        random_w2 = lambda n, seed: random_hamiltonian(n, 2.0, seed)  # noqa: E731
+        serial = k_star_scaling(random_w2, [5, 6], seeds=[1, 2])
+        assert recording_pool.started == []
+        assert k_star_scaling(random_w2, [5, 6], seeds=[1, 2], jobs=8) == serial
+        # four instances, so no more than four workers
+        assert recording_pool.started == [4]
+        assert [cell[1:3] for cell in recording_pool.handed[0]] == [
+            (5, 1), (5, 2), (6, 1), (6, 2)
+        ]
+
+    def test_scaling_builds_each_instance_once(self, recording_pool):
+        # each (size, seed) instance is built by its own cell and nowhere
+        # else, on a pool or not
+        built = []
+
+        def factory(n, seed):
+            built.append((n, seed))
+            return random_hamiltonian(n, 2.0, seed)
+
+        for jobs in (1, 2):
+            built.clear()
+            k_star_scaling(factory, [6, 4, 6], seeds=[3, 1], jobs=jobs)
+            assert built == [(6, 3), (6, 1), (4, 3), (4, 1)]
+        built.clear()
+        k_star_scaling(lambda n: built.append((n, None)) or tfim(n), [5, 3, 4])
+        assert built == [(5, None), (3, None), (4, None)]
 
     def test_random_family_reports_spread(self):
         rows = k_star_scaling(

@@ -220,6 +220,20 @@ class TestKstarBoundDiag:
         assert recording_pool.started == [2]
         assert recording_pool.chunks == [125]  # ceil(1,000 cells / (4 * 2 workers))
 
+    def test_kstar_jobs_start_one_pool_of_at_most_one_worker_per_cell(
+        self, capsys, recording_pool
+    ):
+        argv = ["kstar", "random", "--sizes", "6,8", "--w", "2.0", "--seed", "1", "--seeds", "3"]
+        assert run_cli(*argv) == 0
+        serial = capsys.readouterr().out
+        assert recording_pool.started == []
+        # six instances: --jobs 4 starts four workers, --jobs 16 only six
+        for jobs in ("4", "16"):
+            assert run_cli(*argv, "--jobs", jobs) == 0
+            assert capsys.readouterr().out == serial
+        assert recording_pool.started == [4, 6]
+        assert recording_pool.chunks == [1, 1]  # under four cells per worker
+
     def test_jobs_help_states_the_pool_rule(self, capsys):
         for command in ("sweep", "kstar"):
             with pytest.raises(SystemExit):
