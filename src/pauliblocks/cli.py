@@ -208,9 +208,9 @@ def _cmd_diag(args) -> int:
     tableau = Tableau.from_circuit(circuit)
     if not tableau.is_symplectic():
         raise ValueError("verification failed: tableau is not symplectic")
-    for p in members:
+    for i, p in zip(grouping.groups[args.group_index], members):  # name the term, not the string
         if not is_diagonal(tableau.apply(p)) or not is_diagonal(conjugate(circuit, p)):
-            raise ValueError(f"verification failed: {p} is not diagonalized")
+            raise ValueError(f"verification failed: term {i} is not diagonalized")
     per_block_circuits(circuit, blocks)  # raises if a gate crosses blocks
 
     _write(circuit_to_text(circuit), args.out)

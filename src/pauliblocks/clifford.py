@@ -187,15 +187,11 @@ class Tableau(_Frozen):
         if pauli.n_qubits != self.n_qubits:
             raise ValueError("qubit count mismatch")
         x = z = 0
-        for j in range(self.n_qubits):
-            if (pauli.x_bits >> j) & 1:
-                gx, gz = self.x_images[j]
-                x ^= gx
-                z ^= gz
-            if (pauli.z_bits >> j) & 1:
-                gx, gz = self.z_images[j]
-                x ^= gx
-                z ^= gz
+        for images, bits in ((self.x_images, pauli.x_bits), (self.z_images, pauli.z_bits)):
+            while bits:  # the image of each set generator
+                gx, gz = images[(bits & -bits).bit_length() - 1]
+                x, z = x ^ gx, z ^ gz
+                bits &= bits - 1
         return PauliString(self.n_qubits, x, z)
 
     def is_symplectic(self) -> bool:

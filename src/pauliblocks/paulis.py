@@ -34,6 +34,7 @@ _DENSE_LETTERS = frozenset("IXYZ")  # dense text is these and whitespace
 # Dense text to binary digits, qubit 0 first: X or Y sets x, Z or Y sets z.
 _X_DIGITS = str.maketrans("IXYZ", "0110")
 _Z_DIGITS = str.maketrans("IXYZ", "0011")
+_LETTERS = str.maketrans("0123", "IXZY")  # hex digit x_q + 2 z_q to its letter
 
 
 class _Frozen:
@@ -109,13 +110,11 @@ class PauliString(_Frozen):
         return self.x_bits == 0 and self.z_bits == 0
 
     def render(self) -> str:
-        """Dense text form, qubit 0 leftmost (e.g. "XYZI")."""
-        chars = []
-        for i in range(self.n_qubits):
-            x = (self.x_bits >> i) & 1
-            z = (self.z_bits >> i) & 1
-            chars.append("IXZY"[x + 2 * z])
-        return "".join(chars)
+        """Dense text form, qubit 0 leftmost (e.g. "XYZI"). Bit q of x and of z
+        read as hex digit q, so digit q of x + 2z is x_q + 2 z_q, with no carry."""
+        w = f"0{self.n_qubits}"
+        digits = int(format(self.x_bits, f"{w}b"), 16) + 2 * int(format(self.z_bits, f"{w}b"), 16)
+        return format(digits, f"{w}x")[::-1].translate(_LETTERS)
 
     def __repr__(self) -> str:
         return f"PauliString({self.render()!r})"

@@ -67,6 +67,20 @@ MUTANTS = [
         ("test_public_api.py",),
     ),
     Mutant(
+        "render weights x and z the other way round",
+        "paulis.py",
+        'int(format(self.x_bits, f"{w}b"), 16) + 2 * int(format(self.z_bits, f"{w}b"), 16)',
+        '2 * int(format(self.x_bits, f"{w}b"), 16) + int(format(self.z_bits, f"{w}b"), 16)',
+        ("test_paulis.py",),
+    ),
+    Mutant(
+        "render drops the reversal",
+        "paulis.py",
+        'format(digits, f"{w}x")[::-1]',
+        'format(digits, f"{w}x")',
+        ("test_paulis.py",),
+    ),
+    Mutant(
         "parser misses a repeated Y index",
         "paulis.py",
         "if (x | z) & bit:",
@@ -242,6 +256,13 @@ MUTANTS = [
         "clifford.py",
         "if z >> t & 1:\n                z ^= 1 << c",
         "if z >> c & 1:\n                z ^= 1 << t",
+        ("test_clifford.py",),
+    ),
+    Mutant(
+        "apply takes the x images for the z bits",
+        "clifford.py",
+        "(self.z_images, pauli.z_bits)",
+        "(self.x_images, pauli.z_bits)",
         ("test_clifford.py",),
     ),
     Mutant(

@@ -1,7 +1,8 @@
 """A frozen copy of the three-pass term-list loader that the one-pass
-`load_hamiltonian` replaced, kept as a test oracle. Its warnings and errors
-are the documented contract: the file name keeps it out of the test
-collection, and nothing here may change with the library."""
+`load_hamiltonian` replaced, and of the per-qubit renderer it names strings
+with, kept as test oracles. Its warnings and errors are the documented
+contract: the file name keeps it out of the test collection, and nothing
+here may change with the library."""
 
 from __future__ import annotations
 
@@ -57,9 +58,18 @@ def _line_error(path, ln: int, message: str) -> HamiltonianFileError:
     return HamiltonianFileError(f"{path}: line {ln}: {message}")
 
 
+def dense_text(n: int, x: int, z: int) -> str:
+    """The per-qubit renderer that `PauliString.render` replaced: qubit 0
+    leftmost, one letter per qubit."""
+    chars = []
+    for i in range(n):
+        chars.append("IXZY"[((x >> i) & 1) + 2 * ((z >> i) & 1)])
+    return "".join(chars)
+
+
 def _name(n: int, x: int, z: int) -> str:
     if n <= 1024:
-        return PauliString(n, x, z).render()
+        return dense_text(n, x, z)
     tokens = []
     support = x | z
     while support:

@@ -413,7 +413,9 @@ class TestDiagRefusesAnUnverifiedCircuit:
     @pytest.fixture
     def run_diag(self, tmp_path, capsys):
         path = tmp_path / "h.txt"
-        path.write_text("qubits: 4\n1.0 XXXX\n1.0 ZZZZ\n")
+        # group 0 holds terms 1 and 2, so a message that counts the group's
+        # members instead of naming its terms is wrong
+        path.write_text("qubits: 4\n0.5 XIII\n1.0 XXXX\n1.0 ZZZZ\n")
         out = tmp_path / "circuit.txt"
 
         def run() -> str:
@@ -444,7 +446,7 @@ class TestDiagRefusesAnUnverifiedCircuit:
             monkeypatch.setattr(Tableau, "apply", diagonal)
         elif trusted == "conjugate":
             monkeypatch.setattr(clifford, "conjugate", diagonal)
-        assert run_diag().endswith(" is not diagonalized\n")
+        assert run_diag() == "error: verification failed: term 1 is not diagonalized\n"
 
     def test_tableau_that_is_not_symplectic(self, monkeypatch, run_diag):
         monkeypatch.setattr(Tableau, "is_symplectic", lambda self: False)

@@ -186,6 +186,24 @@ class TestTableau:
             tab = Tableau.from_circuit(circ)
             p = PauliString(n, rng.randrange(1 << n), rng.randrange(1 << n))
             assert tab.apply(p) == conjugate(circ, p)
+        # members of weight 1 to 3 on a wide register, on qubits that a small
+        # circuit acts on, the last one included, and on one it leaves alone,
+        # so the walk over their set bits reaches high positions
+        n = 3000
+        moved = [0, 1, 1500, 2997, 2998, 2999]
+        for seed in range(3):
+            local = random_circuit(len(moved), 30, seed)
+            gates = [Gate(g.kind, tuple(moved[q] for q in g.qubits)) for g in local.gates]
+            circ = CliffordCircuit(n, tuple(gates))
+            tab = Tableau.from_circuit(circ)
+            for _ in range(5):
+                x = z = 0
+                for q in rng.sample([*moved, 2000], rng.randint(1, 3)):
+                    letter = rng.randrange(1, 4)  # X, Z or Y
+                    x |= (letter & 1) << q
+                    z |= (letter >> 1) << q
+                p = PauliString(n, x, z)
+                assert tab.apply(p) == conjugate(circ, p)
 
     def test_non_symplectic_rejected(self):
         # images of X0 and Z0 must anticommute; make them equal instead

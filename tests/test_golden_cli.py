@@ -132,6 +132,11 @@ CASES = {
     ),
     "gen_hardcore_boson": _case("gen", "hardcore-boson", "--n", "4", "--t", "3"),
     "gen_random": _case("gen", "random", "--n", "8", "--w", "3", "--seed", "4"),
+    # 2,000 qubits: about 4 MB of dense text, every string rendered in full
+    "gen_random_wide": _case(
+        "gen", "random", "--n", "2000", "--w", "2.0", "--seed", "1", "--out", "r.txt",
+        outs=["r.txt"],
+    ),
     # group at k=1, a middle k, k=n, explicit blocks and random insertion
     "group_worked_k1": _case("group", "h.txt", "--k", "1", files={"h.txt": WORKED}),
     "group_k1": _case("group", "mixed.txt", "--k", "1", files=_M),

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from conftest import matrices_commute, pauli_matrix, traced_peak
 from pauliblocks import (
     BlockSpec,
@@ -106,12 +107,14 @@ class TestParse:
         assert parse_pauli("XYZI", 4).render() == "XYZI"
         assert str(parse_pauli("Y1", 3)) == "IYI"
 
-    @given(st.integers(1, 200), st.data())
+    @given(st.integers(1, 200) | st.integers(1000, 1100) | st.just(4096), st.data())
     def test_roundtrip(self, n, data):
-        x = data.draw(st.integers(0, (1 << n) - 1))
-        z = data.draw(st.integers(0, (1 << n) - 1))
+        # all-I and all-Y strings among them, each bitmap all 0s or all 1s
+        bits = st.sampled_from([0, (1 << n) - 1]) | st.integers(0, (1 << n) - 1)
+        x, z = data.draw(bits), data.draw(bits)
         p = PauliString(n, x, z)
         dense = p.render()
+        assert dense == reference.dense_text(n, x, z)
         assert parse_pauli(dense, n) == p
         sparse = " ".join(f"{ch}{i}" for i, ch in enumerate(dense) if ch != "I")
         if sparse:
